@@ -16,11 +16,11 @@
 //!   call/segment positions (the PR-4 `number == 0` underflow class),
 //!   forged span IDs, and well-formed calls bearing stale incarnations.
 //! - [`inject`]: [`AdvInjector`], a [`simnet::TrafficInjector`] that a
-//!   chaos scenario arms via [`ScenarioOptions::injector`]. It watches
+//!   chaos run arms via [`Options::injector`]. It watches
 //!   live traffic, and at seeded ticks injects generated hostiles plus
 //!   capture-derived ones (verbatim replays and guaranteed-garbled bit
 //!   flips) from a host that is not part of the system.
-//! - [`oracle`]: invariants layered on top of the five chaos oracles —
+//! - [`oracle`]: invariants layered on top of the chaos oracles —
 //!   forged traffic must be *observed and rejected* (`adv.injected` /
 //!   `adv.rejected`), every injection must be accounted for by exactly
 //!   one generator family, and no correct member may be evicted while
@@ -32,7 +32,7 @@
 //! which is what lets `tests/corpus/adversary.seeds` act as a regression
 //! corpus.
 //!
-//! [`ScenarioOptions::injector`]: chaos::ScenarioOptions
+//! [`Options::injector`]: chaos::Options::injector
 
 pub mod gen;
 pub mod inject;
@@ -40,4 +40,4 @@ pub mod oracle;
 
 pub use gen::{hostile_datagram, stale_call_segment, HostileKind};
 pub use inject::{install_adversary, AdvInjector, ATTACKER_HOST};
-pub use oracle::{check_adversary, counter, sum_prefix};
+pub use oracle::{check_adversary, sum_prefix};

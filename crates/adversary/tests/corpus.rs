@@ -5,8 +5,8 @@
 //! a panic anywhere in the stack (decode path, endpoint, node, scenario)
 //! is reported as a corpus failure with its seed, not as a bare abort.
 
-use adversary::{check_adversary, counter, install_adversary};
-use chaos::{run_seed_with, RunReport, ScenarioOptions};
+use adversary::{check_adversary, install_adversary};
+use chaos::{run, Options, Report, Store};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const CORPUS: &str = concat!(
@@ -32,14 +32,14 @@ fn corpus_seeds() -> Vec<u64> {
 
 #[test]
 fn corpus_replays_green() {
-    let opts = ScenarioOptions {
+    let opts = Options {
         injector: Some(install_adversary),
-        ..ScenarioOptions::default()
+        ..Options::default()
     };
     let mut failures = Vec::new();
-    let mut reports: Vec<RunReport> = Vec::new();
+    let mut reports: Vec<Report> = Vec::new();
     for seed in corpus_seeds() {
-        match catch_unwind(AssertUnwindSafe(|| run_seed_with(seed, &opts))) {
+        match catch_unwind(AssertUnwindSafe(|| run(seed, &Store, &opts))) {
             Err(panic) => {
                 let msg = panic
                     .downcast_ref::<String>()
@@ -66,18 +66,15 @@ fn corpus_replays_green() {
     );
     // The corpus must keep covering the PR-4 decode-fix class: at least
     // one seed has to drive the segment-position generator.
-    let badpos: u64 = reports
-        .iter()
-        .map(|r| counter(&r.metrics_json, "adv.gen.badpos"))
-        .sum();
+    let badpos: u64 = reports.iter().map(|r| r.counter("adv.gen.badpos")).sum();
     assert!(badpos > 0, "no corpus seed exercised adv.gen.badpos");
     for r in &reports {
         eprintln!(
             "corpus seed {:>3}: injected={:<4} rejected={:<4} accepted={:<4} trace {:#018x}",
             r.seed,
-            counter(&r.metrics_json, "adv.injected"),
-            counter(&r.metrics_json, "adv.rejected"),
-            counter(&r.metrics_json, "adv.accepted"),
+            r.counter("adv.injected"),
+            r.counter("adv.rejected"),
+            r.counter("adv.accepted"),
             r.trace_hash,
         );
     }

@@ -13,23 +13,23 @@
 //! instead of replaying the same 100 seeds forever — seeds that found
 //! bugs are pinned in `tests/corpus/adversary.seeds` regardless.
 
-use adversary::{check_adversary, counter, install_adversary};
-use chaos::{chaos_jobs, run_seed_with, run_sweep_parallel, sweep_seeds, ScenarioOptions};
+use adversary::{check_adversary, install_adversary};
+use chaos::{chaos_jobs, run, sweep_seeds, Options, Store};
 
-fn adversarial_options(multicast: bool) -> ScenarioOptions {
-    ScenarioOptions {
+fn adversarial_options(multicast: bool) -> Options {
+    Options {
         multicast_calls: multicast,
         injector: Some(install_adversary),
-        ..ScenarioOptions::default()
+        ..Options::default()
     }
 }
 
-fn sweep(seeds: &[u64], opts: &ScenarioOptions) {
-    let reports = run_sweep_parallel(seeds, opts, chaos_jobs());
+fn sweep(seeds: &[u64], opts: &Options) {
+    let reports = chaos::sweep(seeds, &Store, opts, chaos_jobs());
     let mut failures = Vec::new();
     let mut injected_total = 0u64;
     for r in &reports {
-        injected_total += counter(&r.metrics_json, "adv.injected");
+        injected_total += r.counter("adv.injected");
         if !r.passed() {
             failures.push(r.failure_summary());
         }
@@ -82,14 +82,14 @@ fn adversarial_sweep_multicast() {
 #[test]
 fn same_seed_injection_is_bit_deterministic() {
     let opts = adversarial_options(false);
-    let a = run_seed_with(7, &opts);
-    let b = run_seed_with(7, &opts);
+    let a = run(7, &Store, &opts);
+    let b = run(7, &Store, &opts);
     assert_eq!(a.trace_hash, b.trace_hash, "trace hash diverged");
     assert_eq!(a.trace_events, b.trace_events, "event count diverged");
     assert_eq!(a.metrics_json, b.metrics_json, "metrics dump diverged");
     assert_eq!(a.span_hash, b.span_hash, "span hash diverged");
     assert!(
-        counter(&a.metrics_json, "adv.injected") > 0,
+        a.counter("adv.injected") > 0,
         "determinism check must exercise the injector"
     );
 }

@@ -19,17 +19,16 @@
 //!   the node-level done map must absorb without re-executing anything.
 
 use adversary::AdvInjector;
-use chaos::scenario::{CLIENT_PORT, STORE_MODULE, STORE_PORT};
-use chaos::{check_all, run_scenario, PlanOptions, ScenarioOptions};
+use chaos::{quiesce, Faults, Options, PlanOptions, Store, CLIENT_PORT, MEMBER_PORT, MODULE};
 use circus::CircusProcess;
 use simnet::{Duration, SockAddr, Time, World};
 use transactions::TroupeStoreService;
 
-/// `ScenarioOptions::injector` entry point: records client→store
+/// `Options::injector` entry point: records client→store
 /// traffic, injects nothing.
 fn install_recorder(_seed: u64, w: &mut World) {
     let inj = AdvInjector::capture_only(w.metrics(), |from, to| {
-        from.port == CLIENT_PORT && to.port == STORE_PORT
+        from.port == CLIENT_PORT && to.port == MEMBER_PORT
     });
     w.set_injector(Box::new(inj), Duration::from_millis(1));
 }
@@ -60,7 +59,7 @@ fn snapshot(w: &World, addr: SockAddr) -> Snap {
             conns: p.node().conn_count(),
             store_digest: p
                 .node()
-                .service_as::<TroupeStoreService>(STORE_MODULE)
+                .service_as::<TroupeStoreService>(MODULE)
                 .expect("store member exports the store service")
                 .state_digest(),
         }
@@ -76,7 +75,7 @@ fn replay_and_assert(
     q: &mut chaos::Quiesced,
     captures: &[(Time, SockAddr, SockAddr, Vec<u8>)],
 ) -> (Vec<Snap>, Vec<Snap>) {
-    let members: Vec<SockAddr> = q.store_members.iter().map(|m| m.addr).collect();
+    let members: Vec<SockAddr> = q.members.iter().map(|m| m.addr).collect();
     let before: Vec<Snap> = members.iter().map(|&m| snapshot(&q.world, m)).collect();
     let delivered_before = q.world.metrics().get("net.delivered");
 
@@ -127,20 +126,20 @@ fn replay_and_assert(
 /// the purge watermark must swallow the whole completed history.
 #[test]
 fn replay_across_purge_watermark_is_suppressed() {
-    let opts = ScenarioOptions {
-        plan: PlanOptions {
+    let opts = Options {
+        faults: Faults::Plan(PlanOptions {
             // start == end ⇒ an empty fault schedule: connections never
             // reset, so every capture belongs to the live incarnation.
             start: Time::from_micros(1),
             end: Time::from_micros(1),
             ..PlanOptions::default()
-        },
+        }),
         injector: Some(install_recorder),
-        ..ScenarioOptions::default()
+        ..Options::default()
     };
     for seed in [3, 4] {
-        let mut q = run_scenario(seed, &opts);
-        let violations = check_all(&q);
+        let mut q = quiesce(seed, &Store, &opts);
+        let violations = q.violations(&Store);
         assert!(
             violations.is_empty(),
             "seed {seed} base run: {violations:?}"
@@ -182,21 +181,21 @@ fn replay_across_purge_watermark_is_suppressed() {
 /// raising any new suspicion either.
 #[test]
 fn replay_after_healed_false_suspicion_changes_nothing() {
-    let opts = ScenarioOptions {
-        plan: PlanOptions {
+    let opts = Options {
+        faults: Faults::Plan(PlanOptions {
             partitions_only: Some((
                 Duration::from_micros(6_000_000),
                 Duration::from_micros(8_000_000),
             )),
             ..PlanOptions::default()
-        },
+        }),
         injector: Some(install_recorder),
-        ..ScenarioOptions::default()
+        ..Options::default()
     };
     let mut suspicions_total = 0u64;
     for seed in [11, 12, 13] {
-        let mut q = run_scenario(seed, &opts);
-        let violations = check_all(&q);
+        let mut q = quiesce(seed, &Store, &opts);
+        let violations = q.violations(&Store);
         assert!(
             violations.is_empty(),
             "seed {seed} base run: {violations:?}"

@@ -6,6 +6,20 @@
 //! state), the submission record every client keeps, the paired-message
 //! audit counters every endpoint keeps, and the Ringmaster's registry.
 //!
+//! Two oracles hold for every workload:
+//!
+//! - **Serial-number monotonicity** — no endpoint in the whole world
+//!   ever sent a call number out of order or delivered a call twice
+//!   (§4.2.4), even under duplication and loss bursts.
+//! - **No permanent under-replication** — at quiesce the troupe is back
+//!   at its configured replication degree and every registered member
+//!   is a live process: a troupe "continues to function as long as at
+//!   least one member survives" (§3.5.1), but the self-healing pipeline
+//!   must also have restored full strength, not left the system running
+//!   degraded forever.
+//!
+//! The transactional store adds four ([`check_store`]):
+//!
 //! 1. **Exactly-once execution** — no member ever committed the same
 //!    `(thread, nonce)` twice, and every commit a client was told about
 //!    is present at every current member (§4.2.4's at-most-once delivery
@@ -22,15 +36,6 @@
 //!    registry entry, and the Ringmaster members agree with each other
 //!    (§6.2: cache invalidation must eventually catch every
 //!    reconfiguration).
-//! 5. **Serial-number monotonicity** — no endpoint in the whole world
-//!    ever sent a call number out of order or delivered a call twice
-//!    (§4.2.4), even under duplication and loss bursts.
-//! 6. **No permanent under-replication** — at quiesce the store troupe
-//!    is back at its configured replication degree and every registered
-//!    member is a live process: a troupe "continues to function as long
-//!    as at least one member survives" (§3.5.1), but the self-healing
-//!    pipeline must also have restored full strength, not left the
-//!    system running degraded forever.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -40,8 +45,10 @@ use ringmaster::RingmasterService;
 use simnet::SockAddr;
 use transactions::{ObjId, Op, TroupeStoreService};
 
-use crate::client::RebindingClient;
-use crate::scenario::{Quiesced, STORE_MODULE, STORE_NAME, STORE_REPLICATION};
+use crate::client::{ChaosClient, RebindingClient};
+use crate::drive::{MODULE, REPLICATION};
+use crate::harness::Quiesced;
+use crate::store::STORE_NAME;
 
 /// One invariant violation.
 #[derive(Clone, Debug)]
@@ -74,13 +81,13 @@ struct ClientView {
 }
 
 fn member_views(q: &Quiesced) -> Vec<MemberView> {
-    q.store_members
+    q.members
         .iter()
         .filter_map(|m| {
             q.world.with_proc(m.addr, |p: &CircusProcess| {
                 let s = p
                     .node()
-                    .service_as::<TroupeStoreService>(STORE_MODULE)
+                    .service_as::<TroupeStoreService>(MODULE)
                     .expect("store member exports the store service");
                 MemberView {
                     addr: m.addr,
@@ -106,7 +113,7 @@ fn client_views(q: &Quiesced) -> Vec<ClientView> {
                     submitted: a.submitted.clone(),
                     committed: a.committed_keys.clone(),
                     aborted: a.aborted_keys.clone(),
-                    cached: a.cache().get(STORE_NAME).cloned(),
+                    cached: a.binding().cache().get(STORE_NAME).cloned(),
                 }
             })
         })
@@ -323,12 +330,10 @@ fn check_stale_bindings(q: &Quiesced, clients: &[ClientView], out: &mut Vec<Viol
     }
 }
 
-/// The serial-number-monotonicity oracle over any quiesced world: no
-/// endpoint ever sent a call number out of order or delivered a call
-/// twice (§4.2.4). Every node publishes its endpoint totals into the
-/// registry; the oracle reads them back from there rather than reaching
-/// into the protocol structs. Shared with the broadcast and commutative
-/// workload scenarios, which quiesce worlds of their own.
+/// The serial-number-monotonicity oracle: no endpoint ever sent a call
+/// number out of order or delivered a call twice (§4.2.4). Every node
+/// publishes its endpoint totals into the registry; the oracle reads
+/// them back from there rather than reaching into the protocol structs.
 pub fn check_net_monotonicity(world: &simnet::World, out: &mut Vec<Violation>) {
     const ORACLE: &str = "serial-monotonicity";
     world.refresh_metrics();
@@ -351,24 +356,22 @@ pub fn check_net_monotonicity(world: &simnet::World, out: &mut Vec<Violation>) {
     }
 }
 
-fn check_monotonicity(q: &Quiesced, out: &mut Vec<Violation>) {
-    check_net_monotonicity(&q.world, out);
-}
-
-fn check_replication(q: &Quiesced, out: &mut Vec<Violation>) {
+/// The under-replication oracle: the troupe is back at [`REPLICATION`]
+/// distinct, live members.
+pub fn check_replication(q: &Quiesced, out: &mut Vec<Violation>) {
     const ORACLE: &str = "under-replication";
-    if q.store_members.len() != STORE_REPLICATION {
+    if q.members.len() != REPLICATION {
         out.push(Violation {
             oracle: ORACLE,
             detail: format!(
-                "store troupe has {} registered member(s) at quiesce; the configured \
-                 replication degree is {STORE_REPLICATION}",
-                q.store_members.len()
+                "troupe has {} registered member(s) at quiesce; the specification \
+                 asks for {REPLICATION}",
+                q.members.len()
             ),
         });
     }
     let mut seen: Vec<SockAddr> = Vec::new();
-    for m in &q.store_members {
+    for m in &q.members {
         if seen.contains(&m.addr) {
             out.push(Violation {
                 oracle: ORACLE,
@@ -391,22 +394,18 @@ fn check_replication(q: &Quiesced, out: &mut Vec<Violation>) {
     }
 }
 
-/// Runs all six oracles and returns every violation found.
-pub fn check_all(q: &Quiesced) -> Vec<Violation> {
+/// The four store oracles.
+pub fn check_store(q: &Quiesced, out: &mut Vec<Violation>) {
     let members = member_views(q);
     let clients = client_views(q);
-    let mut out = Vec::new();
     if members.is_empty() {
         out.push(Violation {
             oracle: "convergence",
             detail: "no live store member at quiesce".into(),
         });
     }
-    check_exactly_once(&members, &clients, &mut out);
-    check_convergence(&members, &clients, &mut out);
-    check_atomicity(&members, &clients, &mut out);
-    check_stale_bindings(q, &clients, &mut out);
-    check_monotonicity(q, &mut out);
-    check_replication(q, &mut out);
-    out
+    check_exactly_once(&members, &clients, out);
+    check_convergence(&members, &clients, out);
+    check_atomicity(&members, &clients, out);
+    check_stale_bindings(q, &clients, out);
 }

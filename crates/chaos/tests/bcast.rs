@@ -2,17 +2,14 @@
 //! identical-applied-order and no-starvation oracles, plus a forced
 //! kill-mid-broadcast regression for spare rejoin with broadcast state.
 
-use chaos::{
-    chaos_jobs, run_bcast, run_bcast_sweep, sweep_seeds, BcastOptions, Fault, PlannedFault,
-};
+use chaos::{chaos_jobs, run, sweep, sweep_seeds, Bcast, Fault, Faults, Options, PlannedFault};
 use simnet::{Duration, Time};
 
 #[test]
 fn bcast_sweep_holds_the_oracles() {
     let seeds = sweep_seeds(1..11);
     let replaying = std::env::var("CHAOS_SEED").is_ok();
-    let opts = BcastOptions::default();
-    let reports = run_bcast_sweep(&seeds, &opts, chaos_jobs());
+    let reports = sweep(&seeds, &Bcast, &Options::default(), chaos_jobs());
     let mut failures = Vec::new();
     let mut repairs = 0usize;
     let mut broadcasts = 0usize;
@@ -23,14 +20,14 @@ fn bcast_sweep_holds_the_oracles() {
             r.seed,
             r.faults,
             r.repairs,
-            r.broadcasts,
+            r.confirmed,
             r.rebinds,
             r.trace_hash,
             r.trace_events,
             if r.passed() { "" } else { "  FAILED" },
         );
         repairs += r.repairs;
-        broadcasts += r.broadcasts;
+        broadcasts += r.confirmed;
         if !r.passed() {
             failures.push(r.failure_summary());
         }
@@ -55,9 +52,9 @@ fn bcast_sweep_holds_the_oracles() {
 
 #[test]
 fn bcast_same_seed_is_bit_identical() {
-    let opts = BcastOptions::default();
-    let a = run_bcast(3, &opts);
-    let b = run_bcast(3, &opts);
+    let opts = Options::default();
+    let a = run(3, &Bcast, &opts);
+    let b = run(3, &Bcast, &opts);
     assert_eq!(a.trace_hash, b.trace_hash, "trace hashes diverge");
     assert_eq!(a.trace_events, b.trace_events);
     assert_eq!(a.cpu_total, b.cpu_total);
@@ -73,8 +70,8 @@ fn bcast_same_seed_is_bit_identical() {
 /// position, or applied history would break.
 #[test]
 fn killed_member_mid_broadcast_rejoins_with_identical_order() {
-    let opts = BcastOptions {
-        override_faults: Some(vec![
+    let opts = Options {
+        faults: Faults::Script(vec![
             PlannedFault {
                 at: Time::from_micros(20_000_000),
                 fault: Fault::KillProc { victim_idx: 1 },
@@ -87,10 +84,10 @@ fn killed_member_mid_broadcast_rejoins_with_identical_order() {
                 },
             },
         ]),
-        ..BcastOptions::default()
+        ..Options::default()
     };
     for seed in [7, 8] {
-        let r = run_bcast(seed, &opts);
+        let r = run(seed, &Bcast, &opts);
         assert_eq!(r.repairs, 1, "seed {seed}: the kill was not repaired");
         assert!(r.passed(), "{}", r.failure_summary());
     }

@@ -3,15 +3,14 @@
 //! schedule, since partitions are exactly the regime where commutative
 //! ops shine (no commit round to stall).
 
-use chaos::{chaos_jobs, run_commute, run_commute_sweep, sweep_seeds, CommuteOptions, PlanOptions};
+use chaos::{chaos_jobs, run, sweep, sweep_seeds, Commute, Faults, Options, PlanOptions};
 use simnet::Duration;
 
 #[test]
 fn commute_sweep_converges_without_commit() {
     let seeds = sweep_seeds(1..11);
     let replaying = std::env::var("CHAOS_SEED").is_ok();
-    let opts = CommuteOptions::default();
-    let reports = run_commute_sweep(&seeds, &opts, chaos_jobs());
+    let reports = sweep(&seeds, &Commute, &Options::default(), chaos_jobs());
     let mut failures = Vec::new();
     let mut repairs = 0usize;
     let mut batches = 0usize;
@@ -22,14 +21,14 @@ fn commute_sweep_converges_without_commit() {
             r.seed,
             r.faults,
             r.repairs,
-            r.batches,
+            r.confirmed,
             r.rebinds,
             r.trace_hash,
             r.trace_events,
             if r.passed() { "" } else { "  FAILED" },
         );
         repairs += r.repairs;
-        batches += r.batches;
+        batches += r.confirmed;
         if !r.passed() {
             failures.push(r.failure_summary());
         }
@@ -52,9 +51,9 @@ fn commute_sweep_converges_without_commit() {
 
 #[test]
 fn commute_same_seed_is_bit_identical() {
-    let opts = CommuteOptions::default();
-    let a = run_commute(5, &opts);
-    let b = run_commute(5, &opts);
+    let opts = Options::default();
+    let a = run(5, &Commute, &opts);
+    let b = run(5, &Commute, &opts);
     assert_eq!(a.trace_hash, b.trace_hash, "trace hashes diverge");
     assert_eq!(a.trace_events, b.trace_events);
     assert_eq!(a.cpu_total, b.cpu_total);
@@ -68,18 +67,18 @@ fn commute_same_seed_is_bit_identical() {
 /// commit round for the partition to abort.
 #[test]
 fn partition_storm_still_converges() {
-    let opts = CommuteOptions {
-        plan: PlanOptions {
+    let opts = Options {
+        faults: Faults::Plan(PlanOptions {
             partitions_only: Some((
                 Duration::from_micros(500_000),
                 Duration::from_micros(1_900_000),
             )),
             ..PlanOptions::default()
-        },
-        ..CommuteOptions::default()
+        }),
+        ..Options::default()
     };
     for seed in [21, 22, 23] {
-        let r = run_commute(seed, &opts);
+        let r = run(seed, &Commute, &opts);
         assert!(r.passed(), "{}", r.failure_summary());
     }
 }

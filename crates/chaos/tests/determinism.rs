@@ -3,12 +3,12 @@
 //! the same seed twice must give bit-identical traces and resource
 //! accounting; different seeds must actually diverge.
 
-use chaos::{run_seed, run_seed_with, ScenarioOptions};
+use chaos::{run, Options, Store};
 
 #[test]
 fn same_seed_same_trace_and_resource_totals() {
-    let a = run_seed(42);
-    let b = run_seed(42);
+    let a = run(42, &Store, &Options::default());
+    let b = run(42, &Store, &Options::default());
 
     assert_eq!(a.trace_hash, b.trace_hash, "trace hashes diverged");
     assert_eq!(a.trace_events, b.trace_events, "event counts diverged");
@@ -29,7 +29,7 @@ fn same_seed_same_trace_and_resource_totals() {
     // And so must the workload's outcome.
     assert_eq!(a.faults, b.faults);
     assert_eq!(a.repairs, b.repairs);
-    assert_eq!(a.commits, b.commits);
+    assert_eq!(a.confirmed, b.confirmed);
     assert_eq!(a.aborts, b.aborts);
     assert_eq!(a.rebinds, b.rebinds);
 
@@ -45,12 +45,12 @@ fn same_seed_same_trace_and_resource_totals() {
 /// must schedule every copy identically.
 #[test]
 fn multicast_mode_replays_bit_identically() {
-    let opts = ScenarioOptions {
+    let opts = Options {
         multicast_calls: true,
-        ..ScenarioOptions::default()
+        ..Options::default()
     };
-    let a = run_seed_with(42, &opts);
-    let b = run_seed_with(42, &opts);
+    let a = run(42, &Store, &opts);
+    let b = run(42, &Store, &opts);
 
     assert_eq!(a.trace_hash, b.trace_hash, "trace hashes diverged");
     assert_eq!(a.cpu_total, b.cpu_total, "CPU totals diverged");
@@ -65,15 +65,15 @@ fn multicast_mode_replays_bit_identically() {
     // And it is a genuinely different data plane than unicast — fewer
     // datagrams enter the network per one-to-many call, so the two
     // modes' runs diverge.
-    let unicast = run_seed(42);
+    let unicast = run(42, &Store, &Options::default());
     assert_eq!(unicast.net.multicasts, 0);
     assert_ne!(a.trace_hash, unicast.trace_hash);
 }
 
 #[test]
 fn different_seeds_diverge() {
-    let a = run_seed(1);
-    let b = run_seed(2);
+    let a = run(1, &Store, &Options::default());
+    let b = run(2, &Store, &Options::default());
     assert_ne!(
         a.trace_hash, b.trace_hash,
         "two different seeds produced identical traces"

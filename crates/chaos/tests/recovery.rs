@@ -4,7 +4,11 @@
 //!
 //! `CHAOS_SEED=<n>` replays a single seed; the default sweep covers ten.
 
-use chaos::{run_recovery, sweep_seeds, RecoveryOptions};
+use chaos::{run, sweep_seeds, Options, Recovery, Rejoin, Report};
+
+fn rejoin(r: &Report) -> &Rejoin {
+    r.rejoin.as_ref().expect("recovery runs a scripted rejoin")
+}
 
 #[test]
 fn recovery_sweep_with_hostile_disks() {
@@ -13,14 +17,14 @@ fn recovery_sweep_with_hostile_disks() {
     // matter what the disk did to the log.
     let seeds = sweep_seeds(1..11);
     for &seed in &seeds {
-        let r = run_recovery(seed, &RecoveryOptions::default());
+        let r = run(seed, &Recovery::default(), &Options::default());
         assert!(r.passed(), "{}", r.failure_summary());
         assert!(
-            r.recovery.is_some(),
+            rejoin(&r).recovery.is_some(),
             "seed {seed}: the recovered member never ran disk recovery"
         );
         assert!(
-            r.mttr.is_some(),
+            rejoin(&r).mttr.is_some(),
             "seed {seed}: the recovered member never rejoined"
         );
     }
@@ -31,9 +35,9 @@ fn recovery_replays_the_local_log() {
     // The crash lands halfway through the workload, so the recovered
     // member must find real history on its disk — a snapshot, replayed
     // records, or both — rather than booting empty.
-    let r = run_recovery(2, &RecoveryOptions::default());
+    let r = run(2, &Recovery::default(), &Options::default());
     assert!(r.passed(), "{}", r.failure_summary());
-    let info = r.recovery.expect("recovery ran");
+    let info = rejoin(&r).recovery.expect("recovery ran");
     assert!(
         info.snapshot_version > 0 || info.replayed > 0,
         "nothing recovered from disk: {info:?}"
@@ -44,13 +48,13 @@ fn recovery_replays_the_local_log() {
 fn faultless_disks_lose_nothing() {
     // Every commit record is fsynced before the member acknowledges, so
     // with fault injection off the crash can tear nothing.
-    let opts = RecoveryOptions {
+    let workload = Recovery {
         disk_faults: false,
-        ..RecoveryOptions::default()
+        ..Recovery::default()
     };
-    let r = run_recovery(3, &opts);
+    let r = run(3, &workload, &Options::default());
     assert!(r.passed(), "{}", r.failure_summary());
-    let info = r.recovery.expect("recovery ran");
+    let info = rejoin(&r).recovery.expect("recovery ran");
     assert_eq!(info.torn_bytes, 0, "faultless disk tore the log: {info:?}");
 }
 
@@ -60,32 +64,37 @@ fn delta_catchup_moves_fewer_bytes_than_full_state() {
     // whether the rejoin asks for the delta past its replayed log head
     // or the survivors' whole state. The delta must be strictly
     // smaller: that saving is the point of keeping the log.
-    let delta = run_recovery(
+    let delta = run(
         5,
-        &RecoveryOptions {
+        &Recovery {
             use_delta: true,
-            ..RecoveryOptions::default()
+            ..Recovery::default()
         },
+        &Options::default(),
     );
-    let full = run_recovery(
+    let full = run(
         5,
-        &RecoveryOptions {
+        &Recovery {
             use_delta: false,
-            ..RecoveryOptions::default()
+            ..Recovery::default()
         },
+        &Options::default(),
     );
     assert!(delta.passed(), "{}", delta.failure_summary());
     assert!(full.passed(), "{}", full.failure_summary());
     assert_eq!(
-        delta.delta_fetches, 1,
+        delta.counter("spare.delta_fetches"),
+        1,
         "delta rejoin did not use the delta path"
     );
-    assert!(full.recovery_bytes > 0, "full rejoin moved no state");
+    let (delta_bytes, full_bytes) = (
+        delta.counter("spare.state_bytes"),
+        full.counter("spare.state_bytes"),
+    );
+    assert!(full_bytes > 0, "full rejoin moved no state");
     assert!(
-        delta.recovery_bytes < full.recovery_bytes,
-        "delta rejoin moved {} bytes, full moved {}",
-        delta.recovery_bytes,
-        full.recovery_bytes
+        delta_bytes < full_bytes,
+        "delta rejoin moved {delta_bytes} bytes, full moved {full_bytes}"
     );
 }
 
@@ -93,12 +102,15 @@ fn delta_catchup_moves_fewer_bytes_than_full_state() {
 fn same_seed_same_recovery_run() {
     // Durability is inside the determinism contract: disk costs, fault
     // draws, replay, and catch-up must all replay bit-identically.
-    let a = run_recovery(7, &RecoveryOptions::default());
-    let b = run_recovery(7, &RecoveryOptions::default());
+    let a = run(7, &Recovery::default(), &Options::default());
+    let b = run(7, &Recovery::default(), &Options::default());
     assert_eq!(a.trace_hash, b.trace_hash, "trace hashes diverged");
     assert_eq!(a.span_hash, b.span_hash, "span trees diverged");
     assert_eq!(a.metrics_json, b.metrics_json, "metrics dumps diverged");
-    assert_eq!(a.mttr, b.mttr);
-    assert_eq!(a.recovery_bytes, b.recovery_bytes);
-    assert_eq!(a.commits, b.commits);
+    assert_eq!(rejoin(&a).mttr, rejoin(&b).mttr);
+    assert_eq!(
+        a.counter("spare.state_bytes"),
+        b.counter("spare.state_bytes")
+    );
+    assert_eq!(a.confirmed, b.confirmed);
 }

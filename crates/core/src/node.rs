@@ -290,7 +290,7 @@ struct OutstandingCall {
 /// messages arriving at a server bear the same thread ID and call
 /// sequence number if and only if they are part of the same replicated
 /// call" (§4.3.2), scoped by the client troupe ID.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 struct CallKey {
     client_troupe: TroupeId,
     thread: ThreadId,
@@ -1180,12 +1180,16 @@ impl Node {
                 call.collation.mark_dead(idx);
             }
         }
-        let handles: Vec<u64> = self.outstanding.keys().copied().collect();
+        // Both maps iterate in `RandomState` order; sort so the decisions
+        // and sends below come out the same in every process.
+        let mut handles: Vec<u64> = self.outstanding.keys().copied().collect();
+        handles.sort_unstable();
         for h in handles {
             self.check_decision(io, h);
         }
         // Server side: stop waiting for its call messages.
-        let keys: Vec<CallKey> = self.pending.keys().copied().collect();
+        let mut keys: Vec<CallKey> = self.pending.keys().copied().collect();
+        keys.sort_unstable();
         for key in keys {
             let executed = {
                 let p = self.pending.get_mut(&key).expect("key");
@@ -2229,9 +2233,7 @@ mod tests {
     /// Per-member senders adopt a shared handle on the message bytes and
     /// the single encoded datagram is refcount-shared across all five
     /// destinations — no per-destination encode, no per-destination copy.
-    /// (The encode counter only counts in debug builds.)
     #[test]
-    #[cfg(debug_assertions)]
     fn multicast_call_to_five_members_encodes_once() {
         let mut n = mcast_node();
         let mut io = McastIo::new();

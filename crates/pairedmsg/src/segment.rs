@@ -25,23 +25,15 @@ use std::fmt;
 
 use simnet::Payload;
 
-#[cfg(debug_assertions)]
 thread_local! {
     static ENCODES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Number of segment encodes performed by this thread so far (debug builds
-/// only; always 0 in release). Lets tests pin the zero-copy contract, e.g.
-/// "a 5-member multicast performs exactly one encode per segment".
+/// Number of segment encodes performed by this thread so far, in every
+/// build profile. Lets tests pin the zero-copy contract, e.g. "a 5-member
+/// multicast performs exactly one encode per segment".
 pub fn encodes() -> u64 {
-    #[cfg(debug_assertions)]
-    {
-        ENCODES.with(|c| c.get())
-    }
-    #[cfg(not(debug_assertions))]
-    {
-        0
-    }
+    ENCODES.with(|c| c.get())
 }
 
 /// Whether a segment belongs to a call or a return message.
@@ -229,7 +221,6 @@ impl Segment {
     /// header and data bytes are copied into a contiguous buffer; every
     /// hop, duplicate, and multicast destination afterwards shares it.
     pub fn encode(&self) -> Payload {
-        #[cfg(debug_assertions)]
         ENCODES.with(|c| c.set(c.get() + 1));
         let h = &self.header;
         let mut out = Vec::with_capacity(HEADER_LEN + self.data.len());
@@ -471,7 +462,6 @@ mod tests {
         assert_eq!(back.data, wire.slice(HEADER_LEN..wire.len()));
     }
 
-    #[cfg(debug_assertions)]
     #[test]
     fn encode_counter_counts_encodes() {
         let s = Segment::data(MsgType::Call, 1, 0, 1, 1, false, vec![1u8, 2]);

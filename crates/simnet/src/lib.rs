@@ -76,5 +76,5 @@ pub use process::{HostId, Process, SockAddr, TimerId};
 pub use rng::SimRng;
 pub use sched::TimerWheel;
 pub use time::{Duration, Time};
-pub use trace::{DropReason, TraceEvent, TraceHash, TraceLog, TraceRing, TraceSink};
+pub use trace::{DropReason, TraceEvent, TraceHash, TraceRing, TraceSink};
 pub use world::{Ctx, ForgedDatagram, TrafficInjector, Until, World};

@@ -7,7 +7,7 @@
 //! simulation is deterministic, the sequence of [`TraceEvent`]s is a pure
 //! function of the seed and the workload; [`TraceHash`] folds it into a
 //! single value so "same seed ⇒ same trace" becomes a one-line assertion,
-//! and [`TraceLog`] keeps the events themselves for inspection.
+//! and [`TraceRing`] keeps the events themselves for inspection.
 
 use std::any::Any;
 
@@ -295,75 +295,14 @@ impl TraceSink for TraceHash {
     }
 }
 
-/// Keeps the events themselves (optionally bounded), plus the running hash.
-#[derive(Clone, Debug)]
-pub struct TraceLog {
-    hash: TraceHash,
-    events: Vec<TraceEvent>,
-    limit: usize,
-    dropped: u64,
-}
-
-impl TraceLog {
-    /// An unbounded log.
-    pub fn new() -> TraceLog {
-        TraceLog::with_limit(usize::MAX)
-    }
-
-    /// A log keeping at most `limit` events (the hash still covers all of
-    /// them; [`TraceLog::dropped`] counts the overflow).
-    pub fn with_limit(limit: usize) -> TraceLog {
-        TraceLog {
-            hash: TraceHash::new(),
-            events: Vec::new(),
-            limit,
-            dropped: 0,
-        }
-    }
-
-    /// The recorded events, oldest first.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Events that exceeded the limit and were not kept.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The hash over *all* events, kept or not.
-    pub fn hash(&self) -> u64 {
-        self.hash.value()
-    }
-}
-
-impl Default for TraceLog {
-    fn default() -> TraceLog {
-        TraceLog::new()
-    }
-}
-
-impl TraceSink for TraceLog {
-    fn record(&mut self, ev: &TraceEvent) {
-        self.hash.record(ev);
-        if self.events.len() < self.limit {
-            self.events.push(ev.clone());
-        } else {
-            self.dropped += 1;
-        }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
 /// A bounded ring sink: keeps the *last* `capacity` events plus the
 /// running hash and total count over everything it ever saw.
 ///
 /// This is the sweep-scale sink: memory stays fixed no matter how long
 /// the run, the hash still certifies the full stream, and the retained
 /// tail is exactly what a failure post-mortem wants (the events leading
-/// up to the quiesce), where [`TraceLog`] keeps the uninteresting prefix.
+/// up to the quiesce). `TraceRing::new(usize::MAX)` keeps every event:
+/// it preallocates at most 1,024 slots and grows from there.
 #[derive(Clone, Debug)]
 pub struct TraceRing {
     hash: TraceHash,
@@ -542,19 +481,19 @@ mod tests {
     }
 
     #[test]
-    fn log_respects_limit_but_hash_covers_all() {
-        let mut log = TraceLog::with_limit(1);
+    fn ring_hash_covers_evicted_events() {
+        let mut ring = TraceRing::new(1);
         let e = TraceEvent::Kill {
             at: Time::ZERO,
             addr: addr(1, 1),
         };
-        log.record(&e);
-        log.record(&e);
-        assert_eq!(log.events().len(), 1);
-        assert_eq!(log.dropped(), 1);
+        ring.record(&e);
+        ring.record(&e);
+        assert_eq!(ring.events().len(), 1);
+        assert_eq!(ring.seen(), 2);
         let mut h = TraceHash::new();
         h.record(&e);
         h.record(&e);
-        assert_eq!(log.hash(), h.value());
+        assert_eq!(ring.hash(), h.value());
     }
 }

@@ -3,7 +3,6 @@
 
 use crate::error::WireError;
 
-#[cfg(debug_assertions)]
 thread_local! {
     /// Copies made by the *allocating* byte readers ([`Reader::get_bytes`]
     /// and everything built on it). Decode paths that claim to be
@@ -14,27 +13,16 @@ thread_local! {
 
 /// Total byte-block copies made by allocating reads on this thread.
 ///
-/// Debug builds only; always 0 in release builds. Tests snapshot it
-/// before and after a decode to assert a path borrows from the datagram
-/// instead of allocating.
+/// Counts in every build profile. Tests snapshot it before and after a
+/// decode to assert a path borrows from the datagram instead of
+/// allocating.
 pub fn byte_copies() -> u64 {
-    #[cfg(debug_assertions)]
-    {
-        BYTE_COPIES.with(|c| c.get())
-    }
-    #[cfg(not(debug_assertions))]
-    {
-        0
-    }
+    BYTE_COPIES.with(|c| c.get())
 }
 
-#[cfg(debug_assertions)]
 fn count_byte_copy() {
     BYTE_COPIES.with(|c| c.set(c.get() + 1));
 }
-
-#[cfg(not(debug_assertions))]
-fn count_byte_copy() {}
 
 /// A cursor over a buffer of external representation.
 #[derive(Clone, Debug)]

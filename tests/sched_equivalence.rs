@@ -5,18 +5,27 @@
 //! workload can tell the difference. These tests replay the heaviest
 //! deterministic workloads in the repo — the 10-seed chaos sweep (both
 //! data planes) and the adversarial regression corpus — once on each
-//! scheduler (`chaos` is built with its test-only `heap_sched` feature
-//! here) and assert the complete observable state matches: trace hash
-//! over *every* simulator event, trace tail sample, event counts, the
-//! full metrics dump, and the span forest.
+//! scheduler (`simnet` is built with its test-only `heap_sched` feature
+//! here, and `World::with_config_heap` is handed to `chaos::run` as the
+//! world constructor) and assert the complete observable state matches:
+//! trace hash over *every* simulator event, trace tail sample, event
+//! counts, the full metrics dump, and the span forest.
 
-use chaos::{run_seed_with, run_seed_with_heap, ScenarioOptions};
+use chaos::{run, Options, Store};
+use simnet::World;
 
 /// Asserts two runs of `seed` (wheel vs heap) are observationally
 /// identical, down to the bytes of the metrics dump.
-fn assert_equivalent(seed: u64, opts: &ScenarioOptions, label: &str) {
-    let wheel = run_seed_with(seed, opts);
-    let heap = run_seed_with_heap(seed, opts);
+fn assert_equivalent(seed: u64, opts: &Options, label: &str) {
+    let wheel = run(seed, &Store, opts);
+    let heap = run(
+        seed,
+        &Store,
+        &Options {
+            world: World::with_config_heap,
+            ..opts.clone()
+        },
+    );
     assert_eq!(
         wheel.trace_hash, heap.trace_hash,
         "{label} seed {seed}: trace hash diverged (wheel {:#x} vs heap {:#x})",
@@ -48,7 +57,7 @@ fn assert_equivalent(seed: u64, opts: &ScenarioOptions, label: &str) {
 
 #[test]
 fn chaos_sweep_matches_heap_bit_for_bit() {
-    let opts = ScenarioOptions::default();
+    let opts = Options::default();
     for seed in 1..=10 {
         assert_equivalent(seed, &opts, "chaos");
     }
@@ -56,9 +65,9 @@ fn chaos_sweep_matches_heap_bit_for_bit() {
 
 #[test]
 fn multicast_sweep_matches_heap_bit_for_bit() {
-    let opts = ScenarioOptions {
+    let opts = Options {
         multicast_calls: true,
-        ..ScenarioOptions::default()
+        ..Options::default()
     };
     for seed in [1, 4, 7, 10] {
         assert_equivalent(seed, &opts, "chaos(multicast)");
@@ -79,9 +88,9 @@ fn adversary_corpus_matches_heap_bit_for_bit() {
         })
         .collect();
     assert!(seeds.len() >= 5, "corpus must hold at least 5 seeds");
-    let opts = ScenarioOptions {
+    let opts = Options {
         injector: Some(adversary::install_adversary),
-        ..ScenarioOptions::default()
+        ..Options::default()
     };
     for seed in seeds {
         assert_equivalent(seed, &opts, "adversary corpus");
