@@ -5,33 +5,32 @@
 //! backoff (§4.3), ringmaster liveness probes (§6.4), client retry
 //! loops — is *timer*-dominated, and the timer wheel that replaced the
 //! `BinaryHeap` event queue was built for exactly that shape. BENCH_6
-//! extends BENCH_5 with three sections, one JSON record per line (the
-//! BENCH_4/5 convention):
+//! extends BENCH_5 with three sections, one record per line:
 //!
 //! - `timer_churn` — the gated number: a `World` of processes that keep
 //!   hundreds of timers armed and continuously fire / cancel / re-arm
 //!   them (including far-future "watchdog" timers that always get
 //!   cancelled, exercising the overflow level and the O(1) cancel
 //!   path). Reports simulator events per *real* second.
-//! - `echo_ref` — the BENCH_5 echo rig at 64 B payloads rerun in the
-//!   same process, so the churn number has an apples-to-apples
-//!   message-workload reference next to it.
+//! - `echo_ref` — the BENCH_5 echo rig at 64 B payloads (same call
+//!   count) rerun in the same process, so the churn number has an
+//!   apples-to-apples message-workload reference next to it.
 //! - `wheel_micro` — informational: raw `TimerWheel` vs raw
 //!   `BinaryHeap` insert+pop throughput on an identical deadline
 //!   stream, the heap-vs-wheel chart without a `World` around it.
 //!
-//! Deterministic fields (`events`, `fires`, `cancels`, `sim_ms`) are
-//! byte-stable across reruns; wall-clock fields (`wall_ms`,
-//! `events_per_sec`, `ops_per_sec`) are measurements and vary.
-//! `repro --gate bench6` checks `timer_churn` events/sec against the
-//! BENCH_5 baseline (run `repro bench5` first).
+//! Deterministic fields (`events`, `fires`, `cancels`, `sim_ms`,
+//! `order_fold`) are byte-stable across reruns; wall-clock fields
+//! (`wall_ms`, `events_per_sec`, `*_ops_per_sec`, `wheel_over_heap`)
+//! are measurements and vary. [`gate`] checks `timer_churn` events/sec
+//! against the `echo_ref` record of the same run.
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
-use std::time::Instant;
 
 use simnet::sched::TimerWheel;
 use simnet::{Ctx, Duration, HostId, Payload, Process, SockAddr, TimerId, Until, World};
+
+use crate::record::{find, fixed, per_sec, timed, Record, Value};
 
 /// Tag for the short-lived timers that actually fire.
 const TICK: u64 = 1;
@@ -228,16 +227,12 @@ fn raw_micro(n: u64) -> (f64, f64, u64) {
         fold
     }
 
-    let t0 = Instant::now();
-    let mut wheel: TimerWheel<()> = TimerWheel::new();
-    let wheel_fold = drive(n, &mut wheel);
-    let wheel_wall = t0.elapsed();
-
-    let t0 = Instant::now();
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64)>> =
-        std::collections::BinaryHeap::new();
-    let heap_fold = drive(n, &mut heap);
-    let heap_wall = t0.elapsed();
+    let (wheel_fold, wheel_wall) = timed(|| drive(n, &mut TimerWheel::<()>::new()));
+    let (heap_fold, heap_wall) = timed(|| {
+        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64)>> =
+            std::collections::BinaryHeap::new();
+        drive(n, &mut heap)
+    });
 
     assert_eq!(
         wheel_fold, heap_fold,
@@ -245,59 +240,82 @@ fn raw_micro(n: u64) -> (f64, f64, u64) {
     );
     let ops = 3 * n; // 2 inserts + 1 pop per round, drain pops amortized in
     (
-        ops as f64 / wheel_wall.as_secs_f64().max(1e-9),
-        ops as f64 / heap_wall.as_secs_f64().max(1e-9),
+        per_sec(ops, wheel_wall),
+        per_sec(ops, heap_wall),
         wheel_fold,
     )
 }
 
-/// Builds the full BENCH_6 report. `quick` shrinks the fire budget and
-/// the micro's op count; the workload shape is identical.
-pub fn bench_6_json(quick: bool) -> String {
-    let mut out = String::new();
+/// The heading the records print under.
+pub const TITLE: &str = "BENCH_6: timer-heavy scheduler throughput (timer-wheel gate)";
 
-    let (procs, armed) = (8, 64);
+/// Builds the BENCH_6 records. `quick` shrinks the fire budget, the
+/// echo call count and the micro's op count; the workload shape is
+/// identical.
+pub fn records(quick: bool) -> Vec<Record> {
+    let (procs, armed) = (8u32, 64u32);
     let fires = if quick { 4_000 } else { 40_000 };
-    let t0 = Instant::now();
-    let r = run_timer_churn(procs, armed, fires);
-    let wall = t0.elapsed();
-    let eps = r.events as f64 / wall.as_secs_f64().max(1e-9);
-    let _ = writeln!(
-        out,
-        "{{\"experiment\":\"bench6\",\"section\":\"timer_churn\",\"procs\":{procs},\
-         \"armed_per_proc\":{armed},\"fires\":{},\"cancels\":{},\"events\":{},\
-         \"sim_ms\":{:.2},\"wall_ms\":{:.2},\"events_per_sec\":{eps:.0}}}",
-        r.fires,
-        r.cancels,
-        r.events,
-        r.sim.as_millis_f64(),
-        wall.as_secs_f64() * 1e3,
-    );
+    let (r, wall) = timed(|| run_timer_churn(procs as usize, armed as usize, fires));
+    let churn = Record::new("bench6")
+        .key("section", "timer_churn")
+        .key("procs", procs)
+        .key("armed_per_proc", armed)
+        .det("fires", r.fires)
+        .det("cancels", r.cancels)
+        .det("events", r.events)
+        .det("sim_ms", fixed(r.sim.as_millis_f64(), 2))
+        .wall_ms(wall)
+        .wall("events_per_sec", fixed(per_sec(r.events, wall), 0));
 
-    let calls = if quick { 60 } else { 300 };
-    let t0 = Instant::now();
-    let e = crate::testbed::run_circus_echo_rig(3, calls, false, 64);
-    let wall = t0.elapsed();
-    let echo_eps = e.events as f64 / wall.as_secs_f64().max(1e-9);
-    let _ = writeln!(
-        out,
-        "{{\"experiment\":\"bench6\",\"section\":\"echo_ref\",\"payload\":64,\
-         \"replicas\":3,\"calls\":{calls},\"events\":{},\"wall_ms\":{:.2},\
-         \"events_per_sec\":{echo_eps:.0}}}",
-        e.events,
-        wall.as_secs_f64() * 1e3,
-    );
+    let calls: u32 = if quick { 60 } else { 300 };
+    let (e, wall) = timed(|| crate::testbed::run_circus_echo_rig(3, calls, false, 64));
+    let echo = Record::new("bench6")
+        .key("section", "echo_ref")
+        .key("payload", 64u32)
+        .key("replicas", 3u32)
+        .key("calls", calls)
+        .det("events", e.events)
+        .wall_ms(wall)
+        .wall("events_per_sec", fixed(per_sec(e.events, wall), 0));
 
-    let n = if quick { 100_000 } else { 1_000_000 };
+    let n: u64 = if quick { 100_000 } else { 1_000_000 };
     let (wheel_ops, heap_ops, fold) = raw_micro(n);
-    let _ = writeln!(
-        out,
-        "{{\"experiment\":\"bench6\",\"section\":\"wheel_micro\",\"rounds\":{n},\
-         \"order_fold\":\"{fold:#018x}\",\"wheel_ops_per_sec\":{wheel_ops:.0},\
-         \"heap_ops_per_sec\":{heap_ops:.0},\"wheel_over_heap\":{:.3}}}",
-        wheel_ops / heap_ops.max(1e-9),
-    );
-    out
+    let micro = Record::new("bench6")
+        .key("section", "wheel_micro")
+        .key("rounds", n)
+        .det("order_fold", Value::Text(format!("{fold:#018x}")))
+        .wall("wheel_ops_per_sec", fixed(wheel_ops, 0))
+        .wall("heap_ops_per_sec", fixed(heap_ops, 0))
+        .wall("wheel_over_heap", fixed(wheel_ops / heap_ops.max(1e-9), 3));
+    vec![churn, echo, micro]
+}
+
+/// Gate: the timer-churn workload must process events at least as fast
+/// as the message workload of the `echo_ref` record — the timer wheel
+/// was built for exactly this shape, so falling below the echo rig's
+/// events/sec would mean the scheduler rewrite lost its reason to
+/// exist. Core-count-aware: the simulator is single-threaded, so a
+/// loaded single-core box gets a small noise allowance; with 2+ cores
+/// the floor is the baseline itself.
+pub fn gate(records: &[Record]) -> Result<String, String> {
+    let eps = |section: &str| find(records, &[("section", section.into())])?.num("events_per_sec");
+    let (eps, base_eps) = (eps("timer_churn")?, eps("echo_ref")?);
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let floor_ratio = if cores >= 2 { 1.0 } else { 0.9 };
+    let floor = base_eps * floor_ratio;
+    if eps < floor {
+        return Err(format!(
+            "timer-churn {eps:.0} events/sec below the floor {floor:.0} \
+             ({floor_ratio:.1}x of the 64 B echo_ref baseline {base_eps:.0}, {cores} core(s))"
+        ));
+    }
+    Ok(format!(
+        "timer churn: {eps:.0} events/sec ≥ {floor:.0} floor \
+         ({:.2}x the 64 B echo_ref baseline, {cores} core(s))",
+        eps / base_eps.max(1e-9),
+    ))
 }
 
 #[cfg(test)]
@@ -315,6 +333,22 @@ mod tests {
         // Every budgeted fire happened, and the cancel path was hot.
         assert!(a.fires >= 2 * 200);
         assert!(a.cancels > 100, "cancels = {}", a.cancels);
+    }
+
+    #[test]
+    fn gate_fires_when_churn_falls_below_echo() {
+        let gated = |churn: f64, echo: f64| {
+            gate(
+                &[("timer_churn", churn), ("echo_ref", echo)].map(|(section, eps)| {
+                    Record::new("bench6")
+                        .key("section", section)
+                        .wall("events_per_sec", fixed(eps, 0))
+                }),
+            )
+        };
+        assert!(gated(1_000_000.0, 250_000.0).is_ok());
+        // Below even the single-core allowance of 0.9x.
+        assert!(gated(200_000.0, 250_000.0).is_err());
     }
 
     #[test]

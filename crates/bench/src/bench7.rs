@@ -5,8 +5,7 @@
 //! fetching only the *delta* of commits it missed. This benchmark runs
 //! the recovery chaos workload over a grid of workload lengths (log
 //! length proxy) × snapshot intervals, in both rejoin modes, and emits
-//! one JSON record per cell (the BENCH_4/5/6 one-record-per-line
-//! convention):
+//! one record per cell:
 //!
 //! - `section: "recovery"` — per-cell: simulated MTTR (crash to the
 //!   registry showing full strength with the recovered member in it),
@@ -20,21 +19,20 @@
 //! (the chaos recovery sweep covers hostile disks) so the curves show
 //! the protocol's cost, not the fault stream's.
 //!
-//! `repro --gate bench7` checks the reason the log exists: with a
-//! non-empty log, the delta rejoin must move strictly fewer bytes over
-//! the network than the full state transfer.
-
-use std::fmt::Write as _;
-use std::time::Instant;
+//! [`gate`] checks the reason the log exists: with a non-empty log, the
+//! delta rejoin must move strictly fewer bytes over the network than
+//! the full state transfer.
 
 use chaos::{run, Options, Recovery};
+
+use crate::record::{find, timed, Record};
 
 /// The one seed the grid runs under: the curves compare cells, not
 /// seeds, so one fixed seed keeps every record deterministic.
 const SEED: u64 = 11;
 
-/// Runs one cell and appends its record.
-fn cell(out: &mut String, txns: usize, snapshot_every: usize, use_delta: bool) {
+/// Runs one cell.
+fn cell(txns: usize, snapshot_every: usize, use_delta: bool) -> Record {
     let workload = Recovery {
         snapshot_every,
         use_delta,
@@ -44,49 +42,82 @@ fn cell(out: &mut String, txns: usize, snapshot_every: usize, use_delta: bool) {
         ops_per_client: Some(txns),
         ..Options::default()
     };
-    let t0 = Instant::now();
-    let r = run(SEED, &workload, &opts);
-    let wall = t0.elapsed();
-    let mode = if use_delta { "delta" } else { "full" };
-    let rejoin = r.rejoin.clone().expect("recovery runs a scripted rejoin");
-    let mttr_us = rejoin.mttr.map_or(0, |d| d.as_micros());
-    let (log_bytes, replayed, deduped, snap_v, torn) =
-        rejoin.recovery.map_or((0, 0, 0, 0, 0), |i| {
-            (
-                i.log_bytes,
-                i.replayed,
-                i.deduped,
-                i.snapshot_version,
-                i.torn_bytes,
-            )
-        });
-    let _ = writeln!(
-        out,
-        "{{\"experiment\":\"bench7\",\"section\":\"recovery\",\"mode\":\"{mode}\",\
-         \"seed\":{SEED},\"txns_per_client\":{txns},\"snapshot_every\":{snapshot_every},\
-         \"mttr_us\":{mttr_us},\"recovery_bytes\":{},\"log_bytes\":{log_bytes},\
-         \"replayed\":{replayed},\"deduped\":{deduped},\"snapshot_version\":{snap_v},\
-         \"torn_bytes\":{torn},\"commits\":{},\"passed\":{},\"wall_ms\":{:.2}}}",
-        r.counter("spare.state_bytes"),
-        r.confirmed,
-        r.passed(),
-        wall.as_secs_f64() * 1e3,
-    );
+    let (r, wall) = timed(|| run(SEED, &workload, &opts));
+    let rejoin = r.rejoin.as_ref().expect("recovery runs a scripted rejoin");
+    let info = rejoin.recovery.unwrap_or_default();
+    Record::new("bench7")
+        .key("section", "recovery")
+        .key("mode", if use_delta { "delta" } else { "full" })
+        .key("seed", SEED)
+        .key("txns_per_client", txns)
+        .key("snapshot_every", snapshot_every)
+        .det("mttr_us", rejoin.mttr.map_or(0, |d| d.as_micros()))
+        .det("recovery_bytes", r.counter("spare.state_bytes"))
+        .det("log_bytes", info.log_bytes)
+        .det("replayed", info.replayed)
+        .det("deduped", info.deduped)
+        .det("snapshot_version", info.snapshot_version)
+        .det("torn_bytes", info.torn_bytes)
+        .det("commits", r.confirmed)
+        .det("passed", r.passed())
+        .wall_ms(wall)
 }
 
-/// Builds the full BENCH_7 report. `quick` shrinks the grid; each cell
-/// is identical to its full-grid counterpart.
-pub fn bench_7_json(quick: bool) -> String {
-    let mut out = String::new();
+/// The heading the records print under.
+pub const TITLE: &str =
+    "BENCH_7: crash recovery — MTTR and state-transfer bytes (log replay + delta rejoin)";
+
+/// Builds the BENCH_7 records. `quick` shrinks the grid; each cell is
+/// identical to its full-grid counterpart.
+pub fn records(quick: bool) -> Vec<Record> {
     let txns: &[usize] = if quick { &[16, 32] } else { &[16, 32, 64] };
     let snaps: &[usize] = if quick { &[0, 8] } else { &[0, 4, 16] };
+    let mut out = Vec::new();
     for &t in txns {
         for &s in snaps {
-            cell(&mut out, t, s, true);
-            cell(&mut out, t, s, false);
+            out.push(cell(t, s, true));
+            out.push(cell(t, s, false));
         }
     }
     out
+}
+
+/// Gate: the delta rejoin must move strictly fewer bytes than the full
+/// state transfer for the same crash with a non-empty log, and no grid
+/// cell may have failed its oracles. The `snapshot_every:0` cells keep
+/// the whole history in the log, so the log is guaranteed non-empty at
+/// the crash.
+pub fn gate(records: &[Record]) -> Result<String, String> {
+    for r in records {
+        if !r.flag("passed")? {
+            return Err(format!("a recovery cell failed its oracles: {r}"));
+        }
+    }
+    let cell = |mode: &str| {
+        find(
+            records,
+            &[
+                ("mode", mode.into()),
+                ("txns_per_client", 16u32.into()),
+                ("snapshot_every", 0u32.into()),
+            ],
+        )
+    };
+    let (delta, full) = (cell("delta")?, cell("full")?);
+    let log_bytes = delta.num("log_bytes")?;
+    if log_bytes <= 0.0 {
+        return Err("the delta cell recovered from an empty log — nothing was measured".into());
+    }
+    let d = delta.num("recovery_bytes")?;
+    let f = full.num("recovery_bytes")?;
+    if d >= f {
+        return Err(format!(
+            "delta rejoin moved {d} bytes, not strictly below the full transfer's {f}"
+        ));
+    }
+    Ok(format!(
+        "rejoin after replaying a {log_bytes}-byte log: {d} bytes (delta) < {f} bytes (full)"
+    ))
 }
 
 #[cfg(test)]
@@ -95,33 +126,33 @@ mod tests {
 
     #[test]
     fn cells_are_deterministic() {
-        let mut a = String::new();
-        let mut b = String::new();
-        cell(&mut a, 16, 8, true);
-        cell(&mut b, 16, 8, true);
-        // Everything but the wall clock must be byte-identical.
-        let strip = |s: &str| s[..s.find(",\"wall_ms\"").expect("record has wall_ms")].to_string();
-        assert_eq!(strip(&a), strip(&b));
-        assert!(a.contains("\"passed\":true"), "cell failed: {a}");
+        let (a, b) = (cell(16, 8, true), cell(16, 8, true));
+        assert_eq!(a.stable(), b.stable());
+        assert_eq!(a.flag("passed"), Ok(true), "cell failed: {a}");
     }
 
     #[test]
     fn delta_cell_beats_full_cell() {
-        let mut delta = String::new();
-        let mut full = String::new();
-        cell(&mut delta, 16, 0, true);
-        cell(&mut full, 16, 0, false);
-        let bytes = |s: &str| {
-            let i = s.find("\"recovery_bytes\":").expect("field") + "\"recovery_bytes\":".len();
-            s[i..][..s[i..].find(',').expect("comma")]
-                .parse::<u64>()
-                .expect("number")
+        gate(&[cell(16, 0, true), cell(16, 0, false)]).unwrap();
+    }
+
+    #[test]
+    fn gate_fires_on_each_broken_invariant() {
+        // Hand-built cells with just the fields the gate reads.
+        let cell = |mode: &str, log_bytes: u64, recovery_bytes: u64, passed: bool| {
+            Record::new("bench7")
+                .key("mode", mode)
+                .key("txns_per_client", 16u32)
+                .key("snapshot_every", 0u32)
+                .det("recovery_bytes", recovery_bytes)
+                .det("log_bytes", log_bytes)
+                .det("passed", passed)
         };
-        assert!(
-            bytes(&delta) < bytes(&full),
-            "delta {} !< full {}",
-            bytes(&delta),
-            bytes(&full)
-        );
+        let full = cell("full", 816, 344, true);
+        assert!(gate(&[cell("delta", 816, 5, true), full.clone()]).is_ok());
+        // Delta no cheaper than full; an empty log; a failed cell.
+        assert!(gate(&[cell("delta", 816, 344, true), full.clone()]).is_err());
+        assert!(gate(&[cell("delta", 0, 5, true), full.clone()]).is_err());
+        assert!(gate(&[cell("delta", 816, 5, false), full]).is_err());
     }
 }

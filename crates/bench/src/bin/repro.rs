@@ -2,29 +2,34 @@
 //!
 //! ```text
 //! repro [--quick] [EXPERIMENT...]
-//! repro --gate (bench4|bench5|bench6|bench7|bench8)
+//! repro [--quick] --gate BENCH...
 //! ```
 //!
 //! Experiments: `table4.1 table4.2 table4.3 fig4.8 bench4 bench5 bench6 bench7
 //! bench8 multicast eq5.1 fig6.3 table7.1 ablation.waiting ablation.sync
-//! ablation.protocol` (default: all). `--quick` uses fewer calls/trials.
+//! ablation.protocol` (default: all; `fig4.9-theory` is an alias of
+//! `multicast`). `--quick` uses fewer calls/trials.
 //!
-//! `bench4` additionally writes `BENCH_4.json` (one record per line) to
-//! the current directory: per-replica-count call latency and client
-//! `sendmsg` counts for the unicast and multicast call data planes.
-//! `bench5` writes `BENCH_5.json`: simulator events/sec at growing
-//! payloads, and serial-vs-parallel chaos-sweep wall clock. `bench6`
-//! writes `BENCH_6.json`: events/sec under timer churn (the wheel's
-//! home turf), an echo reference, and a raw wheel-vs-heap micro.
-//! `bench7` writes `BENCH_7.json`: simulated MTTR and state-transfer
-//! bytes for the durable store's crash recovery, over a grid of
-//! workload length × snapshot interval in both rejoin modes.
-//! `bench8` writes `BENCH_8.json`: throughput and abort rate for `k`
-//! conflicting clients through each synchronization scheme — troupe
-//! commit, ordered broadcast, and commutative operations (§5.5).
+//! The benchmarks `bench4` … `bench8` print their records (one JSON
+//! object per line, see `bench::record`) and write them to `BENCH_4.json`
+//! … `BENCH_8.json` in the current directory:
 //!
-//! `--gate NAME` checks the invariant a benchmark must uphold, reading
-//! the `BENCH_*.json` the benchmark wrote (run the benchmark first):
+//! - `bench4` — per-replica-count call latency and client `sendmsg`
+//!   counts for the unicast and multicast call data planes;
+//! - `bench5` — simulator events/sec at growing payloads, and
+//!   serial-vs-parallel chaos-sweep wall clock;
+//! - `bench6` — events/sec under timer churn (the wheel's home turf),
+//!   an echo reference, and a raw wheel-vs-heap micro;
+//! - `bench7` — simulated MTTR and state-transfer bytes for the durable
+//!   store's crash recovery, over a grid of workload length × snapshot
+//!   interval in both rejoin modes;
+//! - `bench8` — throughput and abort rate for `k` conflicting clients
+//!   through each synchronization scheme — troupe commit, ordered
+//!   broadcast, and commutative operations (§5.5).
+//!
+//! `--gate BENCH...` runs the named benchmarks, prints their records and
+//! checks in memory the invariant each must uphold; it writes no file
+//! and exits 1 on the first violation:
 //!
 //! - `bench4` — a 5-member multicast call costs the client fewer
 //!   `sendmsg`s than the unicast data plane;
@@ -33,8 +38,8 @@
 //!   no regression on a single core, where the sweep degenerates to
 //!   serial);
 //! - `bench6` — the timer-churn workload processes events at least as
-//!   fast as the BENCH_5 64 B echo baseline (small noise allowance on
-//!   a single core);
+//!   fast as its own 64 B `echo_ref` record (small noise allowance on a
+//!   single core);
 //! - `bench7` — for a non-empty commit log, the delta rejoin
 //!   (`get_state_since`) moves strictly fewer bytes over the network
 //!   than the full state transfer, and every grid cell ran clean;
@@ -43,6 +48,75 @@
 //!   commit protocol ever aborts.
 
 use std::process::ExitCode;
+
+use bench::record::{json_lines, Record};
+use bench::{ablations, bench4, bench5, bench6, bench7, bench8, tables};
+
+enum Run {
+    Text(fn(bool) -> String),
+    /// A benchmark: its heading, the run that produces its records, and
+    /// the gate that checks them.
+    Bench(&'static str, Records, Gate),
+}
+
+type Records = fn(bool) -> Vec<Record>;
+type Gate = fn(&[Record]) -> Result<String, String>;
+
+/// Calls per echo measurement.
+fn calls(quick: bool) -> u32 {
+    if quick {
+        50
+    } else {
+        500
+    }
+}
+
+/// Every experiment, in print order.
+const EXPERIMENTS: [(&str, Run); 16] = [
+    ("table4.1", Run::Text(|q| tables::table_4_1(calls(q)))),
+    ("table4.2", Run::Text(|_| tables::table_4_2())),
+    ("table4.3", Run::Text(|q| tables::table_4_3(calls(q)))),
+    ("fig4.8", Run::Text(|q| tables::fig_4_8(calls(q)))),
+    (
+        "bench4",
+        Run::Bench(bench4::TITLE, bench4::records, bench4::gate),
+    ),
+    (
+        "bench5",
+        Run::Bench(bench5::TITLE, bench5::records, bench5::gate),
+    ),
+    (
+        "bench6",
+        Run::Bench(bench6::TITLE, bench6::records, bench6::gate),
+    ),
+    (
+        "bench7",
+        Run::Bench(bench7::TITLE, bench7::records, bench7::gate),
+    ),
+    (
+        "bench8",
+        Run::Bench(bench8::TITLE, bench8::records, bench8::gate),
+    ),
+    (
+        "multicast",
+        Run::Text(|q| tables::fig_multicast_theory(if q { 200 } else { 1000 })),
+    ),
+    (
+        "eq5.1",
+        Run::Text(|q| tables::eq_5_1(if q { 5_000 } else { 100_000 })),
+    ),
+    ("fig6.3", Run::Text(|_| tables::fig_6_3())),
+    ("table7.1", Run::Text(|_| tables::table_7_1())),
+    (
+        "ablation.waiting",
+        Run::Text(|q| ablations::ablation_waiting(calls(q).min(100))),
+    ),
+    ("ablation.sync", Run::Text(|_| ablations::ablation_sync())),
+    (
+        "ablation.protocol",
+        Run::Text(|_| ablations::ablation_protocol()),
+    ),
+];
 
 /// Prints a block, exiting quietly if the reader closed the pipe
 /// (e.g. `repro | head`).
@@ -53,375 +127,68 @@ fn emit(block: String) {
     }
 }
 
-/// Pulls `"key":<number>` out of a one-record-per-line JSON string.
-/// Good for exactly the records this binary writes; not a JSON parser.
-fn field(line: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let rest = &line[line.find(&needle)? + needle.len()..];
-    let end = rest
-        .find([',', '}'])
-        .expect("record lines are well-formed JSON objects");
-    rest[..end].trim().parse().ok()
-}
-
-/// The line of `path` matching every needle, or an error naming what's
-/// missing.
-fn record(path: &str, needles: &[&str]) -> Result<String, String> {
-    let body = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {path}: {e}; run the benchmark first"))?;
-    body.lines()
-        .find(|l| needles.iter().all(|n| l.contains(n)))
-        .map(str::to_string)
-        .ok_or_else(|| format!("{path} has no record matching {needles:?}"))
-}
-
-/// Gate: the 5-member multicast call plane must beat unicast on client
-/// `sendmsg` count. Reads `BENCH_4.json`.
-fn gate_bench4() -> Result<String, String> {
-    let uni = record("BENCH_4.json", &["\"mode\":\"unicast\"", "\"replicas\":5"])?;
-    let mc = record(
-        "BENCH_4.json",
-        &["\"mode\":\"multicast\"", "\"replicas\":5"],
-    )?;
-    let uni = field(&uni, "client_sendmsgs").ok_or("unicast record lacks client_sendmsgs")?;
-    let mc = field(&mc, "client_sendmsgs").ok_or("multicast record lacks client_sendmsgs")?;
-    if mc >= uni {
-        return Err(format!(
-            "multicast sendmsg count ({mc}) not below unicast ({uni}) for 5-member calls"
-        ));
-    }
-    Ok(format!(
-        "5-member call: {mc} sendmsg (multicast) < {uni} (unicast)"
-    ))
-}
-
-/// Gate: the timer-churn workload must process events at least as fast
-/// as the BENCH_5 message-workload baseline — the timer wheel was built
-/// for exactly this shape, so falling below the echo rig's events/sec
-/// would mean the scheduler rewrite lost its reason to exist. Reads
-/// `BENCH_6.json` for the churn number and `BENCH_5.json` for the
-/// baseline (run `repro bench5 bench6` first). Core-count-aware: the
-/// simulator is single-threaded, so a loaded single-core box gets a
-/// small noise allowance; with 2+ cores the floor is the baseline
-/// itself.
-fn gate_bench6() -> Result<String, String> {
-    let churn = record("BENCH_6.json", &["\"section\":\"timer_churn\""])?;
-    let eps = field(&churn, "events_per_sec").ok_or("timer_churn record lacks events_per_sec")?;
-    let base = record(
-        "BENCH_5.json",
-        &["\"section\":\"throughput\"", "\"payload\":64"],
-    )?;
-    let base_eps = field(&base, "events_per_sec").ok_or("baseline record lacks events_per_sec")?;
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let floor_ratio = if cores >= 2 { 1.0 } else { 0.9 };
-    let floor = base_eps * floor_ratio;
-    if eps < floor {
-        return Err(format!(
-            "timer-churn {eps:.0} events/sec below the floor {floor:.0} \
-             ({floor_ratio:.1}x of the BENCH_5 64 B baseline {base_eps:.0}, {cores} core(s))"
-        ));
-    }
-    Ok(format!(
-        "timer churn: {eps:.0} events/sec ≥ {floor:.0} floor \
-         ({:.2}x the BENCH_5 64 B baseline, {cores} core(s))",
-        eps / base_eps.max(1e-9),
-    ))
-}
-
-/// Gate: the parallel sweep must beat the serial one by a factor scaled
-/// to how many workers actually ran. Reads `BENCH_5.json`.
-fn gate_bench5() -> Result<String, String> {
-    let summary = record("BENCH_5.json", &["\"section\":\"sweep_summary\""])?;
-    if !summary.contains("\"hashes_match\":true") {
-        return Err("parallel sweep reports diverged from serial".to_string());
-    }
-    let jobs = field(&summary, "jobs").ok_or("sweep_summary lacks jobs")? as usize;
-    let cores = field(&summary, "cores").ok_or("sweep_summary lacks cores")? as usize;
-    let speedup = field(&summary, "speedup").ok_or("sweep_summary lacks speedup")?;
-    // Workers beyond the physical core count cannot add speed, and a
-    // single effective worker cannot beat itself (the runner degenerates
-    // to serial) — there the gate demands only "no regression", with
-    // slack for timer noise. Real fan-out must pay for its threads.
-    let effective = jobs.min(cores);
-    let floor = match effective {
-        0 | 1 => 0.8,
-        2 | 3 => 1.2,
-        _ => 2.0,
-    };
-    if speedup < floor {
-        return Err(format!(
-            "parallel sweep speedup {speedup:.2}x below the {floor:.1}x floor \
-             ({jobs} worker(s) on {cores} core(s))"
-        ));
-    }
-    Ok(format!(
-        "10-seed sweep: {speedup:.2}x speedup with {jobs} worker(s) on {cores} core(s) \
-         (floor {floor:.1}x)"
-    ))
-}
-
-/// Gate: the delta rejoin must move strictly fewer bytes than the full
-/// state transfer for the same crash with a non-empty log, and no grid
-/// cell may have failed its oracles. Reads `BENCH_7.json` (run `repro
-/// bench7` first). The `snapshot_every:0` cells keep the whole history
-/// in the log, so the log is guaranteed non-empty at the crash.
-fn gate_bench7() -> Result<String, String> {
-    let body = std::fs::read_to_string("BENCH_7.json")
-        .map_err(|e| format!("cannot read BENCH_7.json: {e}; run the benchmark first"))?;
-    for line in body.lines() {
-        if line.contains("\"passed\":false") {
-            return Err(format!("a recovery cell failed its oracles: {line}"));
-        }
-    }
-    let delta = record(
-        "BENCH_7.json",
-        &[
-            "\"mode\":\"delta\"",
-            "\"txns_per_client\":16",
-            "\"snapshot_every\":0",
-        ],
-    )?;
-    let full = record(
-        "BENCH_7.json",
-        &[
-            "\"mode\":\"full\"",
-            "\"txns_per_client\":16",
-            "\"snapshot_every\":0",
-        ],
-    )?;
-    let log_bytes = field(&delta, "log_bytes").ok_or("delta record lacks log_bytes")?;
-    if log_bytes <= 0.0 {
-        return Err("the delta cell recovered from an empty log — nothing was measured".into());
-    }
-    let d = field(&delta, "recovery_bytes").ok_or("delta record lacks recovery_bytes")?;
-    let f = field(&full, "recovery_bytes").ok_or("full record lacks recovery_bytes")?;
-    if d >= f {
-        return Err(format!(
-            "delta rejoin moved {d} bytes, not strictly below the full transfer's {f}"
-        ));
-    }
-    Ok(format!(
-        "rejoin after replaying a {log_bytes}-byte log: {d} bytes (delta) < {f} bytes (full)"
-    ))
-}
-
-/// Gate: under contention, commutative operations must strictly beat
-/// the optimistic commit protocol on throughput — the whole reason the
-/// workload-diversity layer exists — and the starvation-free schemes
-/// must report zero aborts. Reads `BENCH_8.json` (run `repro bench8`
-/// first). Checks every contended client count present in the file.
-fn gate_bench8() -> Result<String, String> {
-    let body = std::fs::read_to_string("BENCH_8.json")
-        .map_err(|e| format!("cannot read BENCH_8.json: {e}; run the benchmark first"))?;
-    let mut checked = Vec::new();
-    for k in [2u32, 4, 8, 16] {
-        let commit = body.lines().find(|l| {
-            l.contains("\"scheme\":\"commit\"") && l.contains(&format!("\"clients\":{k},"))
-        });
-        let cm = body.lines().find(|l| {
-            l.contains("\"scheme\":\"commutative\"") && l.contains(&format!("\"clients\":{k},"))
-        });
-        let (Some(commit), Some(cm)) = (commit, cm) else {
-            continue;
-        };
-        let ct = field(commit, "throughput").ok_or("commit record lacks throughput")?;
-        let mt = field(cm, "throughput").ok_or("commutative record lacks throughput")?;
-        if mt <= ct {
-            return Err(format!(
-                "at {k} conflicting clients, commutative throughput {mt:.2} not strictly \
-                 above commit's {ct:.2}"
-            ));
-        }
-        checked.push(format!("k={k}: {mt:.1} > {ct:.1} ops/s"));
-    }
-    if checked.is_empty() {
-        return Err("BENCH_8.json has no contended (k >= 2) cells".into());
-    }
-    for line in body.lines() {
-        let contended = !line.contains("\"clients\":1,");
-        let starvation_free = line.contains("\"scheme\":\"broadcast\"")
-            || line.contains("\"scheme\":\"commutative\"");
-        if starvation_free && field(line, "aborts").is_some_and(|a| a != 0.0) {
-            return Err(format!("a starvation-free scheme reported aborts: {line}"));
-        }
-        let _ = contended;
-    }
-    Ok(format!(
-        "commutative strictly out-throughputs commit under contention ({})",
-        checked.join(", ")
-    ))
-}
-
-fn run_gates(wanted: &[&str]) -> ExitCode {
-    if wanted.is_empty() {
-        eprintln!("--gate needs a benchmark name: bench4 bench5 bench6 bench7 bench8");
-        return ExitCode::from(2);
-    }
-    for name in wanted {
-        let verdict = match *name {
-            "bench4" => gate_bench4(),
-            "bench5" => gate_bench5(),
-            "bench6" => gate_bench6(),
-            "bench7" => gate_bench7(),
-            "bench8" => gate_bench8(),
-            other => {
-                eprintln!("no gate named {other}; known: bench4 bench5 bench6 bench7 bench8");
-                return ExitCode::from(2);
-            }
-        };
-        match verdict {
-            Ok(msg) => emit(format!("gate {name}: PASS — {msg}")),
-            Err(msg) => {
-                eprintln!("gate {name}: FAIL — {msg}");
-                return ExitCode::from(1);
-            }
-        }
-    }
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let wanted: Vec<&str> = args
+    let (mut quick, mut gate) = (false, false);
+    let mut wanted = Vec::new();
+    for arg in &args {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--gate" => gate = true,
+            "fig4.9-theory" => wanted.push("multicast"),
+            flag if flag.starts_with("--") => {
+                eprintln!("unknown option {flag}; known: --quick --gate");
+                return ExitCode::from(2);
+            }
+            name => wanted.push(name),
+        }
+    }
+    // Under --gate, only the benchmarks are known.
+    let known: Vec<&str> = EXPERIMENTS
         .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(|s| s.as_str())
+        .filter(|(_, run)| !gate || matches!(run, Run::Bench(..)))
+        .map(|(name, _)| *name)
         .collect();
-    if args.iter().any(|a| a == "--gate") {
-        return run_gates(&wanted);
-    }
-    let all = wanted.is_empty();
-    let want = |name: &str| all || wanted.contains(&name);
-
-    let calls = if quick { 50 } else { 500 };
-    let mc_calls = if quick { 200 } else { 1000 };
-    let trials = if quick { 5_000 } else { 100_000 };
-
-    let mut known = false;
-    if want("table4.1") {
-        known = true;
-        emit(bench::tables::table_4_1(calls));
-    }
-    if want("table4.2") {
-        known = true;
-        emit(bench::tables::table_4_2());
-    }
-    if want("table4.3") {
-        known = true;
-        emit(bench::tables::table_4_3(calls));
-    }
-    if want("fig4.8") {
-        known = true;
-        emit(bench::tables::fig_4_8(calls));
-    }
-    if want("bench4") {
-        known = true;
-        let json = bench::tables::bench_4_json(calls);
-        emit(format!(
-            "BENCH_4: unicast vs multicast call data plane (m+n messages, §4.3.3)\n{json}"
-        ));
-        match std::fs::write("BENCH_4.json", &json) {
-            Ok(()) => emit("wrote BENCH_4.json".to_string()),
-            Err(e) => {
-                eprintln!("cannot write BENCH_4.json: {e}");
-                return ExitCode::from(1);
-            }
-        }
-    }
-    if want("bench5") {
-        known = true;
-        let json = bench::bench5::bench_5_json(quick);
-        emit(format!(
-            "BENCH_5: simulator throughput and parallel sweep wall clock\n{json}"
-        ));
-        match std::fs::write("BENCH_5.json", &json) {
-            Ok(()) => emit("wrote BENCH_5.json".to_string()),
-            Err(e) => {
-                eprintln!("cannot write BENCH_5.json: {e}");
-                return ExitCode::from(1);
-            }
-        }
-    }
-    if want("bench6") {
-        known = true;
-        let json = bench::bench6::bench_6_json(quick);
-        emit(format!(
-            "BENCH_6: timer-heavy scheduler throughput (timer-wheel gate)\n{json}"
-        ));
-        match std::fs::write("BENCH_6.json", &json) {
-            Ok(()) => emit("wrote BENCH_6.json".to_string()),
-            Err(e) => {
-                eprintln!("cannot write BENCH_6.json: {e}");
-                return ExitCode::from(1);
-            }
-        }
-    }
-    if want("bench7") {
-        known = true;
-        let json = bench::bench7::bench_7_json(quick);
-        emit(format!(
-            "BENCH_7: crash recovery — MTTR and state-transfer bytes (log replay + delta rejoin)\n{json}"
-        ));
-        match std::fs::write("BENCH_7.json", &json) {
-            Ok(()) => emit("wrote BENCH_7.json".to_string()),
-            Err(e) => {
-                eprintln!("cannot write BENCH_7.json: {e}");
-                return ExitCode::from(1);
-            }
-        }
-    }
-    if want("bench8") {
-        known = true;
-        let json = bench::bench8::bench_8_json(quick);
-        emit(format!(
-            "BENCH_8: synchronization under conflict — commit vs broadcast vs commutative (§5.5)\n{json}"
-        ));
-        match std::fs::write("BENCH_8.json", &json) {
-            Ok(()) => emit("wrote BENCH_8.json".to_string()),
-            Err(e) => {
-                eprintln!("cannot write BENCH_8.json: {e}");
-                return ExitCode::from(1);
-            }
-        }
-    }
-    if want("multicast") || want("fig4.9-theory") {
-        known = true;
-        emit(bench::tables::fig_multicast_theory(mc_calls));
-    }
-    if want("eq5.1") {
-        known = true;
-        emit(bench::tables::eq_5_1(trials));
-    }
-    if want("fig6.3") {
-        known = true;
-        emit(bench::tables::fig_6_3());
-    }
-    if want("table7.1") {
-        known = true;
-        emit(bench::tables::table_7_1());
-    }
-    if want("ablation.waiting") {
-        known = true;
-        emit(bench::ablations::ablation_waiting(calls.min(100)));
-    }
-    if want("ablation.sync") {
-        known = true;
-        emit(bench::ablations::ablation_sync());
-    }
-    if want("ablation.protocol") {
-        known = true;
-        emit(bench::ablations::ablation_protocol());
-    }
-    if !known {
-        eprintln!(
-            "unknown experiment(s) {wanted:?}; known: table4.1 table4.2 table4.3 \
-             fig4.8 bench4 bench5 bench6 bench7 bench8 multicast eq5.1 fig6.3 table7.1 \
-             ablation.waiting ablation.sync ablation.protocol"
-        );
+    let kind = if gate { "benchmark" } else { "experiment" };
+    if let Some(bad) = wanted.iter().find(|w| !known.contains(w)) {
+        eprintln!("unknown {kind} {bad}; known: {}", known.join(" "));
         return ExitCode::from(2);
+    }
+    if gate && wanted.is_empty() {
+        eprintln!("--gate needs a {kind} name: {}", known.join(" "));
+        return ExitCode::from(2);
+    }
+
+    for (name, run) in &EXPERIMENTS {
+        if !wanted.is_empty() && !wanted.contains(name) {
+            continue;
+        }
+        let (title, records, gate_fn) = match run {
+            Run::Text(text) => {
+                emit(text(quick));
+                continue;
+            }
+            Run::Bench(title, records, gate) => (title, records, gate),
+        };
+        let records = records(quick);
+        let json = json_lines(&records);
+        emit(format!("{title}\n{json}"));
+        if gate {
+            match gate_fn(&records) {
+                Ok(msg) => emit(format!("gate {name}: PASS — {msg}")),
+                Err(msg) => {
+                    eprintln!("gate {name}: FAIL — {msg}");
+                    return ExitCode::from(1);
+                }
+            }
+            continue;
+        }
+        let file = format!("BENCH_{}.json", &name["bench".len()..]);
+        if let Err(e) = std::fs::write(&file, json) {
+            eprintln!("cannot write {file}: {e}");
+            return ExitCode::from(1);
+        }
+        emit(format!("wrote {file}"));
     }
     ExitCode::SUCCESS
 }

@@ -55,25 +55,11 @@ pub fn table_4_1(calls: u32) -> String {
         "{:<12} | {:>6} {:>6} {:>6} {:>6} | {:>6} {:>6} {:>6} {:>6}",
         "transport", "real", "cpu", "user", "kern", "real", "cpu", "user", "kern"
     );
-    let udp = run_udp_echo(calls);
-    let (_, pr, pc, pu, pk) = PAPER_TABLE_4_1[0];
-    row(
-        &mut out,
-        "UDP",
-        (pr, pc, pu, pk),
-        (udp.real_ms, udp.total_cpu_ms, udp.user_ms, udp.kernel_ms),
-    );
-    let tcp = run_tcp_echo(calls);
-    let (_, pr, pc, pu, pk) = PAPER_TABLE_4_1[1];
-    row(
-        &mut out,
-        "TCP",
-        (pr, pc, pu, pk),
-        (tcp.real_ms, tcp.total_cpu_ms, tcp.user_ms, tcp.kernel_ms),
-    );
-    for n in 1..=5usize {
-        let r = run_circus_echo(n, calls);
-        let (label, pr, pc, pu, pk) = PAPER_TABLE_4_1[1 + n];
+    // Rows in PAPER_TABLE_4_1 order: UDP, TCP, then Circus n = 1..5.
+    let echoes = [run_udp_echo(calls), run_tcp_echo(calls)]
+        .into_iter()
+        .chain((1..=5).map(|n| run_circus_echo(n, calls)));
+    for (r, &(label, pr, pc, pu, pk)) in echoes.zip(PAPER_TABLE_4_1) {
         row(
             &mut out,
             label,
@@ -197,29 +183,6 @@ pub fn fig_4_8(calls: u32) -> String {
         "linear fit: {slope:.1} ms/member + {intercept:.1} ms (R^2 = {r2:.3});\n\
          the paper's point-to-point sends add 10-20 ms of real time per member."
     );
-    out
-}
-
-/// BENCH_4: the real (not modeled) multicast data plane of §4.3.3,
-/// measured against the paper-faithful unicast one at each degree of
-/// replication. One JSON record per line so shell tooling can consume it
-/// without a JSON parser; deterministic (fixed-seed world), so the file
-/// is byte-identical across reruns.
-pub fn bench_4_json(calls: u32) -> String {
-    let mut out = String::new();
-    for &multicast in &[false, true] {
-        let mode = if multicast { "multicast" } else { "unicast" };
-        for n in 1..=5usize {
-            let r = crate::testbed::run_circus_echo_mode(n, calls, multicast);
-            let _ = writeln!(
-                out,
-                "{{\"experiment\":\"bench4\",\"mode\":\"{mode}\",\"replicas\":{n},\
-                 \"calls\":{calls},\"real_ms\":{:.2},\"client_sendmsgs\":{}}}",
-                r.real_ms,
-                r.client_sendmsgs(),
-            );
-        }
-    }
     out
 }
 

@@ -60,43 +60,72 @@ fn world() -> World {
 }
 
 // ---------------------------------------------------------------------
-// UDP echo (Figure 4.5).
+// UDP and TCP echo (Figures 4.5 and 4.6).
 // ---------------------------------------------------------------------
 
-/// The UDP echo server: `loop { recvmsg(); sendmsg() }`.
-struct UdpServer;
+/// The syscalls a socket echo sends and receives with. TCP connection
+/// establishment is ignored, as its cost "is amortized over the read and
+/// write loop" (§4.4.1); kernel timers replace the UDP client's alarms.
+#[derive(Clone, Copy, PartialEq)]
+struct Transport {
+    send: Syscall,
+    recv: Syscall,
+}
 
-impl Process for UdpServer {
+const UDP: Transport = Transport {
+    send: Syscall::SendMsg,
+    recv: Syscall::RecvMsg,
+};
+const TCP: Transport = Transport {
+    send: Syscall::Write,
+    recv: Syscall::Read,
+};
+
+/// The echo server: `loop { recvmsg(); sendmsg() }` over UDP,
+/// `loop { read(); write() }` over TCP.
+struct SocketServer(Transport);
+
+impl Process for SocketServer {
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: SockAddr, data: Payload) {
-        ctx.send(from, data); // recvmsg auto-charged; sendmsg by send().
+        ctx.send_as(self.0.send, from, data); // the receive is auto-charged
+    }
+
+    fn recv_syscall(&self) -> Option<Syscall> {
+        Some(self.0.recv)
     }
 }
 
-/// The UDP echo client: `loop { sendmsg(); alarm(t); recvmsg(); alarm(0) }`.
-struct UdpClient {
+/// The echo client: `loop { sendmsg(); alarm(t); recvmsg(); alarm(0) }`
+/// over UDP, `loop { write(); read() }` over TCP.
+struct SocketClient {
+    transport: Transport,
     server: SockAddr,
     remaining: u32,
     started: Time,
     finished: Option<Time>,
 }
 
-impl UdpClient {
+impl SocketClient {
     fn send_one(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.send(self.server, vec![0u8; PAYLOAD]);
-        // `alarm(timeout)` — one setitimer (Figure 4.5).
-        ctx.charge(Syscall::SetITimer);
+        ctx.send_as(self.transport.send, self.server, vec![0u8; PAYLOAD]);
+        if self.transport == UDP {
+            // `alarm(timeout)` — one setitimer (Figure 4.5).
+            ctx.charge(Syscall::SetITimer);
+        }
     }
 }
 
-impl Process for UdpClient {
+impl Process for SocketClient {
     fn on_poke(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
         self.started = ctx.now();
         self.send_one(ctx);
     }
 
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, _from: SockAddr, _data: Payload) {
-        // `alarm(0)` — cancel the timeout.
-        ctx.charge(Syscall::SetITimer);
+        if self.transport == UDP {
+            // `alarm(0)` — cancel the timeout.
+            ctx.charge(Syscall::SetITimer);
+        }
         self.remaining -= 1;
         if self.remaining == 0 {
             self.finished = Some(ctx.now());
@@ -104,105 +133,46 @@ impl Process for UdpClient {
             self.send_one(ctx);
         }
     }
+
+    fn recv_syscall(&self) -> Option<Syscall> {
+        Some(self.transport.recv)
+    }
+}
+
+fn run_socket_echo(transport: Transport, calls: u32) -> EchoResult {
+    let mut w = world();
+    let server = SockAddr::new(HostId(1), 7);
+    let client = SockAddr::new(HostId(0), 100);
+    w.spawn(server, Box::new(SocketServer(transport)));
+    w.spawn(
+        client,
+        Box::new(SocketClient {
+            transport,
+            server,
+            remaining: calls,
+            started: Time::ZERO,
+            finished: None,
+        }),
+    );
+    w.poke(client, 0);
+    w.run(simnet::Until::pred(Time::from_secs(3600), |w| {
+        w.with_proc(client, |c: &SocketClient| c.finished.is_some())
+            .unwrap_or(false)
+    }));
+    let (started, finished) = w
+        .with_proc(client, |c: &SocketClient| (c.started, c.finished.unwrap()))
+        .unwrap();
+    EchoResult::from_account(w.cpu(client), finished.since(started), calls)
 }
 
 /// Runs the UDP echo experiment (the lower bound of §4.4.1).
 pub fn run_udp_echo(calls: u32) -> EchoResult {
-    let mut w = world();
-    let server = SockAddr::new(HostId(1), 7);
-    let client = SockAddr::new(HostId(0), 100);
-    w.spawn(server, Box::new(UdpServer));
-    w.spawn(
-        client,
-        Box::new(UdpClient {
-            server,
-            remaining: calls,
-            started: Time::ZERO,
-            finished: None,
-        }),
-    );
-    w.poke(client, 0);
-    w.run(simnet::Until::pred(Time::from_secs(3600), |w| {
-        w.with_proc(client, |c: &UdpClient| c.finished.is_some())
-            .unwrap_or(false)
-    }));
-    let (started, finished) = w
-        .with_proc(client, |c: &UdpClient| (c.started, c.finished.unwrap()))
-        .unwrap();
-    EchoResult::from_account(w.cpu(client), finished.since(started), calls)
-}
-
-// ---------------------------------------------------------------------
-// TCP echo (Figure 4.6).
-// ---------------------------------------------------------------------
-
-/// The TCP echo server: `loop { read(); write() }`. Connection
-/// establishment is ignored, as its cost "is amortized over the read and
-/// write loop" (§4.4.1); kernel timers replace the client alarms.
-struct TcpServer;
-
-impl Process for TcpServer {
-    fn on_datagram(&mut self, ctx: &mut Ctx<'_>, from: SockAddr, data: Payload) {
-        ctx.send_as(Syscall::Write, from, data);
-    }
-
-    fn recv_syscall(&self) -> Option<Syscall> {
-        Some(Syscall::Read)
-    }
-}
-
-/// The TCP echo client: `loop { write(); read() }`.
-struct TcpClient {
-    server: SockAddr,
-    remaining: u32,
-    started: Time,
-    finished: Option<Time>,
-}
-
-impl Process for TcpClient {
-    fn on_poke(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
-        self.started = ctx.now();
-        ctx.send_as(Syscall::Write, self.server, vec![0u8; PAYLOAD]);
-    }
-
-    fn on_datagram(&mut self, ctx: &mut Ctx<'_>, _from: SockAddr, _data: Payload) {
-        self.remaining -= 1;
-        if self.remaining == 0 {
-            self.finished = Some(ctx.now());
-        } else {
-            ctx.send_as(Syscall::Write, self.server, vec![0u8; PAYLOAD]);
-        }
-    }
-
-    fn recv_syscall(&self) -> Option<Syscall> {
-        Some(Syscall::Read)
-    }
+    run_socket_echo(UDP, calls)
 }
 
 /// Runs the TCP echo experiment.
 pub fn run_tcp_echo(calls: u32) -> EchoResult {
-    let mut w = world();
-    let server = SockAddr::new(HostId(1), 7);
-    let client = SockAddr::new(HostId(0), 100);
-    w.spawn(server, Box::new(TcpServer));
-    w.spawn(
-        client,
-        Box::new(TcpClient {
-            server,
-            remaining: calls,
-            started: Time::ZERO,
-            finished: None,
-        }),
-    );
-    w.poke(client, 0);
-    w.run(simnet::Until::pred(Time::from_secs(3600), |w| {
-        w.with_proc(client, |c: &TcpClient| c.finished.is_some())
-            .unwrap_or(false)
-    }));
-    let (started, finished) = w
-        .with_proc(client, |c: &TcpClient| (c.started, c.finished.unwrap()))
-        .unwrap();
-    EchoResult::from_account(w.cpu(client), finished.since(started), calls)
+    run_socket_echo(TCP, calls)
 }
 
 // ---------------------------------------------------------------------
@@ -210,7 +180,7 @@ pub fn run_tcp_echo(calls: u32) -> EchoResult {
 // ---------------------------------------------------------------------
 
 /// The rpctest echo service of Figure 4.7.
-struct EchoService;
+pub(crate) struct EchoService;
 
 impl Service for EchoService {
     fn dispatch(&mut self, _ctx: &mut ServiceCtx, _proc: u16, args: &[u8]) -> Step {

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Full pre-merge gate: formatting, lints, the whole test suite in debug
 # and in release (the chaos sweeps of every workload included), the
-# 100-seed adversary fuzz sweep, and the benchmark gates. Run from the
-# repository root:
+# 100-seed adversary fuzz sweep, and the benchmark gates (one
+# `repro [--quick] --gate benchN` each, which runs the benchmark and
+# checks its records without writing a file). Run from the repository
+# root:
 #
 #     scripts/check.sh
 #
@@ -57,23 +59,18 @@ phase "adversary fuzz sweep (100 seeds from epoch ${adv_epoch}, hostile injector
 ADV_SEED_BASE=$((adv_epoch * 100)) ADV_FULL=1 cargo test -p adversary --release --test fuzz -- --nocapture
 
 phase "BENCH_4 gate (multicast call plane beats unicast on client sendmsg)"
-cargo run -q --release -p bench --bin repro -- --quick bench4 >/dev/null
-cargo run -q --release -p bench --bin repro -- --gate bench4
+cargo run -q --release -p bench --bin repro -- --quick --gate bench4
 
 phase "BENCH_5 gate (parallel sweep beats serial wall clock)"
-cargo run -q --release -p bench --bin repro -- --quick bench5 >/dev/null
-cargo run -q --release -p bench --bin repro -- --gate bench5
+cargo run -q --release -p bench --bin repro -- --quick --gate bench5
 
-phase "BENCH_6 gate (timer churn at least matches the BENCH_5 baseline)"
-cargo run -q --release -p bench --bin repro -- --quick bench6 >/dev/null
-cargo run -q --release -p bench --bin repro -- --gate bench6
+phase "BENCH_6 gate (timer churn at least matches its echo_ref baseline)"
+cargo run -q --release -p bench --bin repro -- --quick --gate bench6
 
 phase "BENCH_7 gate (delta rejoin moves fewer bytes than full state transfer)"
-cargo run -q --release -p bench --bin repro -- --quick bench7 >/dev/null
-cargo run -q --release -p bench --bin repro -- --gate bench7
+cargo run -q --release -p bench --bin repro -- --quick --gate bench7
 
-phase "BENCH_8 gate (commutative ops out-throughput commit under conflict)"
-cargo run -q --release -p bench --bin repro -- bench8 >/dev/null
+phase "BENCH_8 gate (commutative ops out-throughput commit under conflict, full grid)"
 cargo run -q --release -p bench --bin repro -- --gate bench8
 
 phase "done"
