@@ -524,8 +524,9 @@ impl Node {
     }
 
     /// Installs transferred state into an exported service (the joining
-    /// member's half of §6.4.1's state transfer).
-    pub fn set_service_state(&mut self, module: u16, state: &[u8]) {
+    /// member's half of §6.4.1's state transfer; reached only through
+    /// [`NodeEffect::SetServiceState`]).
+    fn set_service_state(&mut self, module: u16, state: &[u8]) {
         if let Some(svc) = self.services.get_mut(&module) {
             svc.set_state(state);
         }
@@ -533,8 +534,9 @@ impl Node {
 
     /// Applies a recovery delta to an exported service (the joining
     /// member's half of delta catch-up; see
-    /// [`Service::get_state_since`]).
-    pub fn apply_service_delta(&mut self, module: u16, delta: &[u8]) {
+    /// [`Service::get_state_since`]; reached only through
+    /// [`NodeEffect::ApplyServiceDelta`]).
+    fn apply_service_delta(&mut self, module: u16, delta: &[u8]) {
         if let Some(svc) = self.services.get_mut(&module) {
             svc.apply_delta(delta);
         }

@@ -58,9 +58,6 @@ pub struct Config {
     /// How long a completed exchange's call number is remembered so that
     /// delayed duplicates cannot replay it (§4.2.4).
     pub replay_ttl: Duration,
-    /// Postpone the ack of a completed call in the hope that the return
-    /// message will serve as an implicit ack (§4.2.4).
-    pub deferred_ack: bool,
     /// Retransmit *all* unacknowledged segments on timeout instead of
     /// just the first; useful on unreliable networks (§4.2.4).
     pub retransmit_all: bool,
@@ -81,7 +78,6 @@ impl Default for Config {
             probe_interval: Duration::from_secs(2),
             max_unanswered_probes: 3,
             replay_ttl: Duration::from_secs(60),
-            deferred_ack: true,
             retransmit_all: false,
             mode: ProtocolMode::Circus,
         }

@@ -399,9 +399,7 @@ impl Endpoint {
                     }
                     // Deferred ack: hold the ack back in the hope the
                     // return message will serve instead (§4.2.4).
-                    if self.config.deferred_ack {
-                        want_ack = false;
-                    }
+                    want_ack = false;
                 }
                 MsgType::Return => {
                     self.stats.returns_delivered += 1;

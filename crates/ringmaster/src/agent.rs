@@ -159,16 +159,10 @@ impl RingmasterService {
         })
     }
 
-    /// Looks up a troupe by name (for co-located helpers such as the
-    /// garbage collector).
+    /// Looks up a troupe by name (the local half of
+    /// `lookup_troupe_by_name`, for tests and audit oracles).
     pub fn lookup(&self, name: &str) -> Option<&Troupe> {
         self.registry.get(name).map(|e| &e.troupe)
-    }
-
-    /// All registered names (for the garbage collector's enumeration,
-    /// §6.1).
-    pub fn names(&self) -> Vec<String> {
-        self.registry.keys().cloned().collect()
     }
 
     /// The full registry — `(name, current troupe)` in name order — for
@@ -297,7 +291,7 @@ impl Service for RingmasterService {
                 };
                 // The stale id is only a hint (§6.1): return whatever is
                 // current; if the registry still holds the reportedly
-                // stale binding, a garbage-collection probe will decide.
+                // stale binding, the healer's probe round will decide.
                 Step::Reply(to_bytes(&self.lookup(&req.name).cloned()))
             }
             binding_procs::REPORT_SUSPECT => {
@@ -373,6 +367,6 @@ mod tests {
         let t = Troupe::new(TroupeId(9), Vec::new());
         let rm = RingmasterService::new(t.clone());
         assert_eq!(rm.lookup("ringmaster"), Some(&t));
-        assert_eq!(rm.names(), vec!["ringmaster".to_string()]);
+        assert_eq!(rm.bindings(), vec![("ringmaster".to_string(), t)]);
     }
 }

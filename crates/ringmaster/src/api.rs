@@ -62,7 +62,7 @@ impl Internalize for AddTroupeMember {
 }
 
 /// `remove_troupe_member(troupe_name, troupe_member) returns (troupe_id)`
-/// — garbage collection of defunct members (§6.1, §6.4).
+/// — the healer's eviction of a probe-confirmed dead member (§6.1, §6.4).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RemoveTroupeMember {
     /// The interface name.

@@ -10,15 +10,19 @@
 //!   troupe via a nested replicated `set_troupe_id` (Figure 6.2);
 //! - [`ImportCache`] — the client-side cache with `rebind` support
 //!   (§6.1–§6.2's cache invalidation);
-//! - [`JoinAgent`] — adding a new troupe member: `get_state` transfer
-//!   from the survivors, then `add_troupe_member` (§6.4.1);
-//! - [`GcAgent`] — null-call probing and deletion of defunct bindings
-//!   (§6.1);
-//! - [`SelfHealAgent`] — in-system failure recovery: probe-confirmed
-//!   eviction of suspects reported by the call runtime, then automatic
-//!   replacement from a pool of warm spares (§6.4, automated);
-//! - [`SpareService`] / [`SpareAgent`] — the spare process's side of the
-//!   same protocol: registration and wedge/copy/join activation.
+//! - [`SelfHealAgent`] — §6.1's garbage collection made fail-safe: a
+//!   liveness sweep and the call runtime's suspect reports feed `null`
+//!   probes, a probe-confirmed death evicts the member with
+//!   `remove_troupe_member`, and a registered warm spare replaces it
+//!   (§6.4, automated);
+//! - [`SpareService`] / [`SpareAgent`] — adding a troupe member
+//!   (§6.4.1): the spare registers itself, and its `activate` procedure
+//!   wedges the survivors, copies their state, joins with
+//!   `add_troupe_member`, and unwedges.
+//!
+//! Every membership change runs through these two: the healer evicts,
+//! the spare joins. A planned join with no crash behind it is the same
+//! solo `activate` call the healer makes.
 //!
 //! The availability analysis that answers *when* to replace crashed
 //! members (§6.4.2) lives in the `analysis` crate.
@@ -28,17 +32,13 @@
 pub mod agent;
 pub mod api;
 pub mod cache;
-pub mod gc;
 pub mod heal;
-pub mod reconfigure;
 pub mod spare;
 
 pub use agent::RingmasterService;
 pub use api::{AddTroupeMember, Rebind, RegisterSpare, RegisterTroupe, RemoveTroupeMember};
 pub use cache::{BindingRequest, ImportCache};
-pub use gc::GcAgent;
 pub use heal::SelfHealAgent;
-pub use reconfigure::JoinAgent;
 pub use spare::{SpareAgent, SpareService, PROC_ACTIVATE, SPARE_CTL_MODULE};
 
 use circus::{ModuleAddr, NodeBuilder, NodeConfig, Troupe, TroupeId};

@@ -9,14 +9,15 @@
 //!   `register_spare` as soon as it starts, and
 //! * a [`SpareService`] (the *control module*, exported at
 //!   [`SPARE_CTL_MODULE`]) whose single `activate` procedure performs
-//!   the whole §6.4.1 join when the self-healing agent calls it:
+//!   the whole §6.4.1 join when the self-healing agent calls it (a
+//!   planned join with no crash behind it makes the same solo call):
 //!   look the troupe up, **wedge** the survivors so the module
 //!   quiesces, copy their state, register with `add_troupe_member`
 //!   (which re-incarnates the troupe), and unwedge.
 //!
-//! Wedging before the state fetch closes the window [`JoinAgent`]
-//! (crate::reconfigure::JoinAgent) merely shrinks: no state change can
-//! land between the snapshot and the membership change because the
+//! Wedging before the state fetch is what makes the transfer consistent
+//! (§6.4.1 asks for a quiescent module): no state change can land
+//! between the snapshot and the membership change because the
 //! survivors refuse new work and drain what is in flight first. The
 //! contract is the generic wedge/`get_state`/`set_state` trio of the
 //! reserved procedure space, not anything store-specific: the

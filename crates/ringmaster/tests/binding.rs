@@ -1,14 +1,17 @@
 //! End-to-end binding-agent tests: registration, lookup, stale-binding
-//! rebind, member join with state transfer, garbage collection, and the
-//! server-side directory lookup path.
+//! rebind, the server-side directory lookup path, and the one
+//! membership-repair path — a warm spare's wedged join (§6.4.1),
+//! activated by hand here, and the healer's probe-confirmed eviction
+//! (§6.1) — including both through a degraded Ringmaster.
 
-use circus::binding::{binding_procs, BINDING_MODULE};
+use circus::binding::{binding_procs, BINDING_MODULE, RINGMASTER_PORT};
 use circus::{
     Agent, CallError, CallHandle, CircusProcess, CollationPolicy, ModuleAddr, NodeBuilder,
     NodeConfig, NodeCtx, Service, ServiceCtx, Step, ThreadId, Troupe, TroupeId,
 };
 use ringmaster::{
-    spawn_ringmaster, GcAgent, ImportCache, JoinAgent, RegisterTroupe, RingmasterService,
+    spawn_ringmaster, ImportCache, RegisterTroupe, RingmasterService, SpareService, PROC_ACTIVATE,
+    SPARE_CTL_MODULE,
 };
 use simnet::{Duration, HostId, SockAddr, World};
 use wire::{from_bytes, to_bytes};
@@ -229,84 +232,175 @@ fn register_and_lookup_by_name() {
     assert_eq!(result, Some(5));
 }
 
-#[test]
-fn join_agent_transfers_state_and_reincarnates() {
-    let mut w = world(2);
+/// Adds 42 to the counter troupe it was given on every poke; keeps each
+/// reply, so a poke after a reconfiguration shows the stale binding.
+struct Caller {
+    troupe: Troupe,
+    results: Vec<Result<Vec<u8>, CallError>>,
+}
+
+impl Agent for Caller {
+    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
+        let t = nc.fresh_thread();
+        let troupe = self.troupe.clone();
+        nc.call(
+            t,
+            &troupe,
+            APP_MODULE,
+            0,
+            to_bytes(&42u32),
+            CollationPolicy::Unanimous,
+        );
+    }
+    fn on_call_done(
+        &mut self,
+        _nc: &mut NodeCtx<'_, '_, '_>,
+        _h: CallHandle,
+        result: Result<Vec<u8>, CallError>,
+    ) {
+        self.results.push(result);
+    }
+}
+
+/// Plays the configuration manager of a planned join: every poke makes
+/// the call the healer makes after an eviction, a solo `activate` on
+/// the spare's control module.
+struct Activator {
+    spare: SockAddr,
+    results: Vec<Result<Vec<u8>, CallError>>,
+}
+
+impl Agent for Activator {
+    fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
+        let t = nc.fresh_thread();
+        let ctl = ModuleAddr::new(self.spare, SPARE_CTL_MODULE);
+        nc.call_solo(
+            t,
+            &Troupe::singleton(ctl),
+            SPARE_CTL_MODULE,
+            PROC_ACTIVATE,
+            to_bytes("counter"),
+            CollationPolicy::FirstCome,
+        );
+    }
+    fn on_call_done(
+        &mut self,
+        _nc: &mut NodeCtx<'_, '_, '_>,
+        _h: CallHandle,
+        result: Result<Vec<u8>, CallError>,
+    ) {
+        self.results.push(result);
+    }
+}
+
+const CALLER: SockAddr = SockAddr {
+    host: HostId(60),
+    port: 10,
+};
+const SPARE: SockAddr = SockAddr {
+    host: HostId(6),
+    port: 70,
+};
+const OPERATOR: SockAddr = SockAddr {
+    host: HostId(61),
+    port: 10,
+};
+
+/// The counter troupe's registry entry at Ringmaster member `host`.
+fn registry_entry(w: &World, host: u32) -> Option<Troupe> {
+    w.with_proc(
+        SockAddr::new(HostId(host), RINGMASTER_PORT),
+        |p: &CircusProcess| {
+            p.node()
+                .service_as::<RingmasterService>(BINDING_MODULE)
+                .unwrap()
+                .lookup("counter")
+                .cloned()
+        },
+    )
+    .unwrap()
+}
+
+/// A planned join (§6.4.1) with no crash behind it: a counter troupe on
+/// hosts 4 and 5 is registered with a Ringmaster on hosts 1–3 and
+/// holds 42 (added by the [`Caller`] at `CALLER`); Ringmaster host
+/// `rm_crash`, if any, is then crashed; a spare at `SPARE` is activated
+/// once by the [`Activator`] at `OPERATOR`. Returns the world and the
+/// counter troupe as registered before the join.
+fn planned_join(seed: u64, rm_crash: Option<u32>) -> (World, Troupe) {
+    let mut w = world(seed);
     let rm = spawn_ringmaster(&mut w, &hosts(&[1, 2, 3]), NodeConfig::default());
     let registered = register_counter_troupe(&mut w, &rm, "counter", &[4, 5]);
-
-    // Seed state by calling the troupe directly.
-    let driver = SockAddr::new(HostId(60), 10);
-    struct Caller {
-        troupe: Troupe,
-        results: Vec<Result<Vec<u8>, CallError>>,
-    }
-    impl Agent for Caller {
-        fn on_poke(&mut self, nc: &mut NodeCtx<'_, '_, '_>, _tag: u64) {
-            let t = nc.fresh_thread();
-            let troupe = self.troupe.clone();
-            nc.call(
-                t,
-                &troupe,
-                APP_MODULE,
-                0,
-                to_bytes(&42u32),
-                CollationPolicy::Unanimous,
-            );
-        }
-        fn on_call_done(
-            &mut self,
-            _nc: &mut NodeCtx<'_, '_, '_>,
-            _h: CallHandle,
-            result: Result<Vec<u8>, CallError>,
-        ) {
-            self.results.push(result);
-        }
-    }
-    let p = NodeBuilder::new(driver, NodeConfig::default())
+    let p = NodeBuilder::new(CALLER, NodeConfig::default())
         .agent(Box::new(Caller {
             troupe: registered.clone(),
             results: Vec::new(),
         }))
         .build()
         .expect("valid node");
-    w.spawn(driver, Box::new(p));
-    w.poke(driver, 0);
+    w.spawn(CALLER, Box::new(p));
+    w.poke(CALLER, 0);
     w.run(simnet::Until::Elapsed(Duration::from_secs(10)));
+    if let Some(h) = rm_crash {
+        w.crash_host(HostId(h));
+    }
 
-    // A new member joins via the JoinAgent (§6.4.1).
-    let newbie = SockAddr::new(HostId(6), 70);
-    let p = NodeBuilder::new(newbie, NodeConfig::default())
+    let p = NodeBuilder::new(SPARE, NodeConfig::default())
         .service(APP_MODULE, Box::new(Counter { value: 0 }))
+        .service(
+            SPARE_CTL_MODULE,
+            Box::new(SpareService::new(rm.clone(), "counter", APP_MODULE)),
+        )
         .binder(rm.clone())
-        .agent(Box::new(JoinAgent::new(rm.clone(), "counter", APP_MODULE)))
         .build()
         .expect("valid node");
-    w.spawn(newbie, Box::new(p));
-    w.poke(newbie, 0);
-    w.run(simnet::Until::Elapsed(Duration::from_secs(20)));
+    w.spawn(SPARE, Box::new(p));
+    let p = NodeBuilder::new(OPERATOR, NodeConfig::default())
+        .agent(Box::new(Activator {
+            spare: SPARE,
+            results: Vec::new(),
+        }))
+        .build()
+        .expect("valid node");
+    w.spawn(OPERATOR, Box::new(p));
+    w.poke(OPERATOR, 0);
+    w.run(simnet::Until::Elapsed(Duration::from_secs(60)));
+    (w, registered)
+}
 
-    let joined = w
-        .with_proc(newbie, |p: &CircusProcess| {
-            let j = p.agent_as::<JoinAgent>().unwrap();
-            assert!(
-                j.finished(),
-                "join never finished: failed={:?} joined={:?} warn={:?}",
-                j.failed,
-                j.joined,
-                j.sync_warning
-            );
-            assert!(j.failed.is_none(), "join failed: {:?}", j.failed);
-            j.joined
+fn activations(w: &World) -> Vec<Result<Vec<u8>, CallError>> {
+    w.with_proc(OPERATOR, |p: &CircusProcess| {
+        p.agent_as::<Activator>().unwrap().results.clone()
+    })
+    .unwrap()
+}
+
+#[test]
+fn spare_activation_transfers_state_and_reincarnates() {
+    let (mut w, registered) = planned_join(2, None);
+    assert_eq!(activations(&w), vec![Ok(Vec::new())]);
+    let spare_done = w
+        .with_proc(SPARE, |p: &CircusProcess| {
+            p.node()
+                .service_as::<SpareService>(SPARE_CTL_MODULE)
+                .unwrap()
+                .activated
         })
-        .unwrap()
-        .expect("joined");
-    // New incarnation differs from the registration-time one.
-    assert_ne!(joined, registered.id);
+        .unwrap();
+    assert!(
+        spare_done,
+        "the control module did not record its activation"
+    );
+
+    // A new incarnation with the spare as third member.
+    let joined = registry_entry(&w, 1).expect("counter bound");
+    assert_ne!(joined.id, registered.id);
+    assert_eq!(joined.members.len(), 3);
+    assert!(joined.members.iter().any(|m| m.addr == SPARE));
 
     // State was transferred: the new member's counter is 42.
     let value = w
-        .with_proc(newbie, |p: &CircusProcess| {
+        .with_proc(SPARE, |p: &CircusProcess| {
             p.node().service_as::<Counter>(APP_MODULE).unwrap().value
         })
         .unwrap();
@@ -316,95 +410,71 @@ fn join_agent_transfers_state_and_reincarnates() {
     for a in [
         registered.members[0].addr,
         registered.members[1].addr,
-        newbie,
+        SPARE,
     ] {
         let id = w
             .with_proc(a, |p: &CircusProcess| p.node().troupe_id())
             .unwrap();
-        assert_eq!(id, joined, "member {a} has stale incarnation");
+        assert_eq!(id, joined.id, "member {a} has stale incarnation");
     }
 
     // A client still holding the OLD binding is rejected and can rebind.
-    w.poke(driver, 0); // Caller re-uses the old troupe representation.
+    w.poke(CALLER, 0);
     w.run(simnet::Until::Elapsed(Duration::from_secs(10)));
     let results = w
-        .with_proc(driver, |p: &CircusProcess| {
+        .with_proc(CALLER, |p: &CircusProcess| {
             p.agent_as::<Caller>().unwrap().results.clone()
         })
         .unwrap();
     assert_eq!(results.len(), 2);
     assert!(results[0].is_ok());
     assert!(
-        matches!(results[1], Err(CallError::StaleBinding(Some(id))) if id == joined),
+        matches!(results[1], Err(CallError::StaleBinding(Some(id))) if id == joined.id),
         "expected stale-binding rejection, got {:?}",
         results[1]
     );
 }
 
 #[test]
-fn gc_removes_crashed_member() {
+fn spare_refuses_a_second_activation() {
+    let (mut w, _) = planned_join(2, None);
+    let joined = registry_entry(&w, 1).expect("counter bound");
+    w.poke(OPERATOR, 0);
+    w.run(simnet::Until::Elapsed(Duration::from_secs(10)));
+    let results = activations(&w);
+    assert_eq!(results.len(), 2);
+    assert!(results[0].is_ok(), "first activation: {:?}", results[0]);
+    assert!(
+        matches!(&results[1], Err(CallError::Remote(e)) if e.contains("spare already activated")),
+        "expected a refusal, got {:?}",
+        results[1]
+    );
+    // The refusal changed nothing: same incarnation, same members.
+    assert_eq!(registry_entry(&w, 1), Some(joined));
+}
+
+#[test]
+fn healer_evicts_crashed_member_with_no_spare() {
+    // §6.1's garbage collection is the healer's: its liveness sweep
+    // finds the dead member, a probe round confirms the death, and
+    // `remove_troupe_member` deletes the binding. No spare is
+    // registered, so the troupe stays at two members.
     let mut w = world(3);
     let rm = spawn_ringmaster(&mut w, &hosts(&[1, 2, 3]), NodeConfig::default());
     let registered = register_counter_troupe(&mut w, &rm, "counter", &[4, 5, 6]);
 
-    // Attach a garbage collector to ringmaster member 0's process... the
-    // process already exists; spawn the collector as its own process
-    // colocated on host 1 instead, with its own RingmasterService? No —
-    // the GC must read a live registry. Re-spawn ringmaster member 0's
-    // host with an agent is disruptive. Instead: the GC agent lives on a
-    // fresh process that holds a replica of the registry via get_state.
-    let gc_addr = SockAddr::new(HostId(1), 99);
-    let mut gc_service = RingmasterService::new(rm.clone());
-    // Mirror the current registry into the collector's local copy.
-    let registry_state = w
-        .with_proc(rm.members[0].addr, |p: &CircusProcess| {
-            p.node()
-                .service_as::<RingmasterService>(BINDING_MODULE)
-                .unwrap()
-                .get_state()
-        })
-        .unwrap();
-    gc_service.set_state(&registry_state);
-    let p = NodeBuilder::new(gc_addr, NodeConfig::default())
-        .service(BINDING_MODULE + 1, Box::new(gc_service))
-        .binder(rm.clone())
-        .agent(Box::new(GcAgent::new(
-            rm.clone(),
-            BINDING_MODULE + 1,
-            Duration::from_secs(5),
-        )))
-        .build()
-        .expect("valid node");
-    w.spawn(gc_addr, Box::new(p));
-
-    // Crash one member.
     w.crash_host(HostId(6));
     w.run(simnet::Until::Elapsed(Duration::from_secs(120)));
 
-    let collected = w
-        .with_proc(gc_addr, |p: &CircusProcess| {
-            p.agent_as::<GcAgent>().unwrap().collected.clone()
-        })
-        .unwrap();
-    assert!(
-        collected
-            .iter()
-            .any(|(n, m)| n == "counter" && m.addr.host == HostId(6)),
-        "dead member never collected: {collected:?}"
+    assert_eq!(w.metrics().get("ring.evictions"), 1);
+    assert_eq!(
+        w.metrics().get("ring.repairs"),
+        0,
+        "no spare to repair from"
     );
-
-    // The registry now shows 2 members under a fresh incarnation.
-    let current = w
-        .with_proc(rm.members[0].addr, |p: &CircusProcess| {
-            p.node()
-                .service_as::<RingmasterService>(BINDING_MODULE)
-                .unwrap()
-                .lookup("counter")
-                .cloned()
-        })
-        .unwrap()
-        .expect("binding survives");
+    let current = registry_entry(&w, 1).expect("binding survives");
     assert_eq!(current.members.len(), 2);
+    assert!(current.members.iter().all(|m| m.addr.host != HostId(6)));
     assert_ne!(current.id, registered.id);
 }
 
@@ -710,53 +780,22 @@ fn binding_survives_ringmaster_member_crash() {
 }
 
 #[test]
-fn registration_survives_ringmaster_member_crash() {
-    // Mutations also keep working: add_troupe_member reaches the two
-    // surviving Ringmaster members, which agree on the new incarnation
-    // deterministically (no inter-member communication, §3.5.1).
-    let mut w = world(7);
-    let rm = spawn_ringmaster(&mut w, &hosts(&[1, 2, 3]), NodeConfig::default());
-    let registered = register_counter_troupe(&mut w, &rm, "counter", &[4, 5]);
-    w.crash_host(HostId(3));
-
-    // A new member joins through the surviving majority.
-    let newbie = SockAddr::new(HostId(6), 70);
-    let p = NodeBuilder::new(newbie, NodeConfig::default())
-        .service(APP_MODULE, Box::new(Counter { value: 0 }))
-        .binder(rm.clone())
-        .agent(Box::new(JoinAgent::new(rm.clone(), "counter", APP_MODULE)))
-        .build()
-        .expect("valid node");
-    w.spawn(newbie, Box::new(p));
-    w.poke(newbie, 0);
-    w.run(simnet::Until::Elapsed(Duration::from_secs(60)));
-
-    let joined = w
-        .with_proc(newbie, |p: &CircusProcess| {
-            let j = p.agent_as::<JoinAgent>().unwrap();
-            assert!(j.failed.is_none(), "{:?}", j.failed);
-            j.joined
-        })
-        .unwrap()
-        .expect("join must succeed through the surviving majority");
-    assert_ne!(joined, registered.id);
-
-    // The surviving Ringmaster members agree on the new registry entry.
-    for h in [1u32, 2] {
-        let entry = w
-            .with_proc(
-                SockAddr::new(HostId(h), circus::binding::RINGMASTER_PORT),
-                |p: &CircusProcess| {
-                    p.node()
-                        .service_as::<RingmasterService>(BINDING_MODULE)
-                        .unwrap()
-                        .lookup("counter")
-                        .cloned()
-                },
-            )
-            .unwrap()
-            .expect("entry");
-        assert_eq!(entry.id, joined);
-        assert_eq!(entry.members.len(), 3);
-    }
+fn spare_joins_through_surviving_ringmaster_majority() {
+    // Mutations also keep working: the spare's add_troupe_member reaches
+    // the two surviving Ringmaster members, which agree on the new
+    // incarnation deterministically (no inter-member communication,
+    // §3.5.1).
+    let (w, registered) = planned_join(7, Some(3));
+    let results = activations(&w);
+    assert!(
+        matches!(results.as_slice(), [Ok(_)]),
+        "join must succeed through the surviving majority: {results:?}"
+    );
+    let entries: Vec<Troupe> = [1u32, 2]
+        .iter()
+        .map(|&h| registry_entry(&w, h).expect("entry"))
+        .collect();
+    assert_eq!(entries[0], entries[1], "surviving members disagree");
+    assert_ne!(entries[0].id, registered.id);
+    assert_eq!(entries[0].members.len(), 3);
 }

@@ -6,10 +6,12 @@
 //! - a replicated counter registered through `register_troupe`;
 //! - the **configuration language** picking machines by attribute
 //!   (`troupe(x, y, z) where x.memory >= 8 ...`, §7.5.2);
-//! - a crash, detected by the client, and a **reconfiguration**: the
-//!   manager solves the troupe extension problem (§7.5.3) for a
-//!   replacement machine, whose `JoinAgent` fetches the module state
-//!   with `get_state` and registers via `add_troupe_member` (§6.4.1) —
+//! - a crash and a **reconfiguration**: the manager solves the troupe
+//!   extension problem (§7.5.3) for a replacement machine and starts a
+//!   warm spare there; the Ringmaster's healer confirms the death with
+//!   `null` probes, evicts the member (§6.1), and activates the spare,
+//!   which wedges the survivors, fetches the module state with
+//!   `get_state` and registers via `add_troupe_member` (§6.4.1) —
 //!   re-incarnating the troupe (§6.2);
 //! - the client's stale binding is rejected and refreshed via `rebind`
 //!   (§6.1).
@@ -22,7 +24,9 @@ use rdp::circus::{
     NodeConfig, NodeCtx, Service, ServiceCtx, Step, Troupe, TroupeId,
 };
 use rdp::configlang::{ConfigManager, Machine, Placement, Universe, Value};
-use rdp::ringmaster::{spawn_ringmaster, ImportCache, JoinAgent, RegisterTroupe};
+use rdp::ringmaster::{
+    spawn_ringmaster, ImportCache, RegisterTroupe, SpareAgent, SpareService, SPARE_CTL_MODULE,
+};
 use rdp::simnet::{Duration, HostId, SockAddr, World};
 use rdp::wire::{from_bytes, to_bytes};
 
@@ -270,8 +274,10 @@ fn main() {
     world.crash_host(victim);
     manager.machine_down(victim.0);
 
-    // The manager re-solves the placement (§7.5.3) and starts a
-    // replacement whose JoinAgent transfers state and registers.
+    // The manager re-solves the placement (§7.5.3) and starts a warm
+    // spare on the chosen machine; the Ringmaster's healer evicts the
+    // dead member and activates the spare, which transfers state and
+    // registers.
     let actions = manager.reconfigure("counter").expect("replacement found");
     for a in &actions {
         if let Placement::Start { machine, .. } = a {
@@ -279,12 +285,15 @@ fn main() {
             let addr = SockAddr::new(HostId(*machine), 70);
             let p = NodeBuilder::new(addr, NodeConfig::default())
                 .service(APP_MODULE, Box::new(Counter { value: 0 }))
+                .service(
+                    SPARE_CTL_MODULE,
+                    Box::new(SpareService::new(rm.clone(), "counter", APP_MODULE)),
+                )
                 .binder(rm.clone())
-                .agent(Box::new(JoinAgent::new(rm.clone(), "counter", APP_MODULE)))
+                .agent(Box::new(SpareAgent::new(rm.clone(), "counter")))
                 .build()
                 .expect("valid node");
             world.spawn(addr, Box::new(p));
-            world.poke(addr, 0);
         }
     }
     world.run(simnet::Until::Elapsed(Duration::from_secs(60)));

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full pre-merge gate: formatting, lints, the whole test suite in debug
-# and in release (the chaos sweeps of every workload included), the
-# 100-seed adversary fuzz sweep, and the benchmark gates (one
+# and in release (the chaos sweeps of every workload included), every
+# example run twice with byte-identical output, the 100-seed adversary
+# fuzz sweep, and the benchmark gates (one
 # `repro [--quick] --gate benchN` each, which runs the benchmark and
 # checks its records without writing a file). Run from the repository
 # root:
@@ -50,6 +51,19 @@ cargo test --workspace -q
 
 phase "cargo test --workspace --release (chaos sweeps, CHAOS_JOBS=${CHAOS_JOBS:-auto})"
 cargo test --workspace --release -q
+
+# Each example asserts its own invariants (non-zero exit on violation)
+# and is seeded, so two runs must print the same bytes.
+phase "examples (release, each run twice, outputs compared)"
+cargo build -q --release --examples
+ex_out=$(mktemp -d)
+trap 'rm -rf "$ex_out"' EXIT
+for ex in examples/*.rs; do
+  name=$(basename "$ex" .rs)
+  "${CARGO_TARGET_DIR:-target}/release/examples/$name" > "$ex_out/$name.1"
+  "${CARGO_TARGET_DIR:-target}/release/examples/$name" > "$ex_out/$name.2"
+  cmp "$ex_out/$name.1" "$ex_out/$name.2"
+done
 
 # The full fuzz sweep's seed range rotates off the committed epoch
 # counter (bump tests/corpus/seed_epoch to move CI onto 100 fresh

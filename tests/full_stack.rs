@@ -8,7 +8,9 @@ use rdp::circus::{
     NodeConfig, NodeCtx, Troupe, TroupeId,
 };
 use rdp::configlang::{extend_troupe, parse, Machine, Universe, Value};
-use rdp::ringmaster::{spawn_ringmaster, JoinAgent, RegisterTroupe, RingmasterService};
+use rdp::ringmaster::{
+    spawn_ringmaster, RegisterTroupe, RingmasterService, SpareAgent, SpareService, SPARE_CTL_MODULE,
+};
 use rdp::simnet::{Duration, HostId, SockAddr, World};
 use rdp::transactions::{CommitVoterService, ObjId, Op, TroupeStoreService, TxnClient};
 use rdp::wire::{from_bytes, to_bytes};
@@ -51,7 +53,8 @@ impl Agent for Registrar {
 /// The whole story in one world: solve a placement with the config
 /// language, spawn and register a transactional store troupe with the
 /// Ringmaster, run conflicting transactions from two clients, crash a
-/// member, join a replacement with state transfer, and run more
+/// member, let the Ringmaster's healer replace it with a warm spare
+/// (probe, evict, wedged state transfer, join), and run more
 /// transactions — verifying exact agreement at every surviving replica.
 #[test]
 fn configured_replicated_transactional_store_survives_crash_and_heals() {
@@ -147,7 +150,12 @@ fn configured_replicated_transactional_store_survives_crash_and_heals() {
         assert!(done && errors.is_empty(), "client {c}: {errors:?}");
     }
 
-    // 5. Crash one member; join a replacement with state transfer.
+    // 5. Crash one member and start a warm spare. The healer co-located
+    // with the Ringmaster leader notices the crash on its own: it probes
+    // the dead member, evicts it, and activates the spare, which wedges
+    // the survivors, copies their state and joins — re-incarnating the
+    // troupe. Wait for the registry to converge and take the
+    // authoritative troupe from it, as a rebinding client would (§6.2).
     let victim = members[2].addr;
     w.crash_host(victim.host);
     let newbie = SockAddr::new(HostId(9), 70);
@@ -157,25 +165,16 @@ fn configured_replicated_transactional_store_survives_crash_and_heals() {
             STORE_MODULE,
             Box::new(TroupeStoreService::new(COMMIT_MODULE)),
         )
+        .service(
+            SPARE_CTL_MODULE,
+            Box::new(SpareService::new(rm.clone(), "store", STORE_MODULE)),
+        )
         .binder(rm.clone())
-        .agent(Box::new(JoinAgent::new(rm.clone(), "store", STORE_MODULE)))
+        .agent(Box::new(SpareAgent::new(rm.clone(), "store")))
         .build()
         .expect("valid node");
     w.spawn(newbie, Box::new(p));
-    w.poke(newbie, 0);
-    w.run(simnet::Until::Elapsed(Duration::from_secs(30)));
-    w.with_proc(newbie, |p: &CircusProcess| {
-        let j = p.agent_as::<JoinAgent>().unwrap();
-        assert!(j.failed.is_none(), "{:?}", j.failed);
-        j.joined.expect("joined");
-    })
-    .unwrap();
 
-    // The self-healing Ringmaster notices the crash on its own: it
-    // probes the dead member, evicts it, and re-incarnates the troupe —
-    // possibly *after* our manual join computed its incarnation. Wait
-    // for the registry to converge and take the authoritative troupe
-    // from it, as a rebinding client would (§6.2).
     let rm_leader = SockAddr::new(HostId(1), RINGMASTER_PORT);
     let registry_store = |w: &World| -> Option<Troupe> {
         w.with_proc(rm_leader, |p: &CircusProcess| {
@@ -195,6 +194,11 @@ fn configured_replicated_transactional_store_survives_crash_and_heals() {
     assert!(converged, "registry: {:?}", registry_store(&w));
     let current = registry_store(&w).expect("store bound");
     assert!(current.members.iter().any(|m| m.addr == newbie));
+    assert_eq!(
+        w.metrics().get("ring.evictions"),
+        1,
+        "one crash, one eviction"
+    );
 
     // The transferred state matches the survivors.
     let read = |w: &World, a: SockAddr, obj: ObjId| -> i64 {
